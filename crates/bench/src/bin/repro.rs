@@ -5,7 +5,7 @@
 //!       [--replay FILE] <experiment>...
 //! experiments: table1 table3 table4 fig3 fig4 fig5 fig6 fig7 alpha overhead
 //!              ablation cxl landscape motivation faults recover soak serve
-//!              device contain bench all
+//!              device contain all
 //! ```
 //!
 //! Sweeps run their independent (app × policy × seed) cells on a worker
@@ -40,13 +40,7 @@
 //! verify survivors stay bitwise identical to a no-fault run, released
 //! grants are re-absorbed, and Half-Open recovery replays deterministically;
 //! a violation dumps a replayable `merchcontain` scenario and exits
-//! non-zero. `bench` (also not part of `all`) aggregates the
-//! per-bench registry artifacts (`BENCH_page_engine.json`,
-//! `BENCH_planner.json`, or explicit `--bench-file` paths) into
-//! `BENCH_all.json` and re-checks every row against the registry's
-//! regression gates, exiting non-zero on any violation; set
-//! `MERCH_BENCH_DIR` to aggregate artifacts from (and write
-//! `BENCH_all.json` to) a different directory.
+//! non-zero.
 //!
 //! Output is TSV on stdout, one block per experiment, in the same
 //! rows/series the paper reports. Seeds are fixed by default so runs are
@@ -66,7 +60,6 @@ fn main() {
     let mut smoke = false;
     let mut model_cache: Option<std::path::PathBuf> = None;
     let mut replay: Option<std::path::PathBuf> = None;
-    let mut bench_files: Vec<std::path::PathBuf> = Vec::new();
     let mut wanted: Vec<String> = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -112,20 +105,13 @@ fn main() {
                     }
                 };
             }
-            "--bench-file" => {
-                match it.next() {
-                    Some(p) => bench_files.push(p.into()),
-                    None => {
-                        eprintln!("error: --bench-file takes a path to a registry JSON artifact");
-                        std::process::exit(2);
-                    }
-                };
-            }
             "--replay" => {
                 replay = match it.next() {
                     Some(p) => Some(p.into()),
                     None => {
-                        eprintln!("error: --replay takes a path to a soak reproducer file");
+                        eprintln!(
+                            "error: --replay takes a path to a soak, serve, device or contain scenario file"
+                        );
                         std::process::exit(2);
                     }
                 };
@@ -135,7 +121,7 @@ fn main() {
     }
     if wanted.is_empty() {
         eprintln!(
-            "usage: repro [--seed N] [--quick] [--smoke] [--jobs N] [--replay FILE] [--bench-file FILE] <table1|table3|table4|fig3|fig4|fig5|fig6|fig7|alpha|overhead|ablation|cxl|landscape|motivation|faults|recover|soak|serve|device|contain|bench|all>..."
+            "usage: repro [--seed N] [--quick] [--smoke] [--jobs N] [--replay FILE] <table1|table3|table4|fig3|fig4|fig5|fig6|fig7|alpha|overhead|ablation|cxl|landscape|motivation|faults|recover|soak|serve|device|contain|all>..."
         );
         std::process::exit(2);
     }
@@ -797,90 +783,6 @@ fn main() {
                         )
                         .unwrap();
                     }
-                }
-                "bench" => {
-                    use merch_bench::registry;
-                    let dir: std::path::PathBuf = std::env::var("MERCH_BENCH_DIR")
-                        .map(Into::into)
-                        .unwrap_or_else(|_| ".".into());
-                    let files: Vec<std::path::PathBuf> = if bench_files.is_empty() {
-                        [
-                            "BENCH_page_engine.json",
-                            "BENCH_planner.json",
-                            "BENCH_serve.json",
-                        ]
-                        .iter()
-                        .map(|f| dir.join(f))
-                        .filter(|p| p.exists())
-                        .collect()
-                    } else {
-                        bench_files.clone()
-                    };
-                    if files.is_empty() {
-                        eprintln!(
-                            "error: no bench artifacts found in {} (run the benches first, or pass --bench-file)",
-                            dir.display()
-                        );
-                        std::process::exit(2);
-                    }
-                    writeln!(out, "\n# Bench registry — aggregated regression gates").unwrap();
-                    writeln!(out, "bench\tname\tsize\tbaseline_us\tengine_us\tspeedup").unwrap();
-                    let mut all = Vec::new();
-                    for path in &files {
-                        let text = match std::fs::read_to_string(path) {
-                            Ok(t) => t,
-                            Err(e) => {
-                                eprintln!("error: cannot read {}: {e}", path.display());
-                                std::process::exit(2);
-                            }
-                        };
-                        match registry::parse_json(&text) {
-                            Ok(rows) => all.extend(rows),
-                            Err(e) => {
-                                eprintln!(
-                                    "error: {} is not a registry artifact: {e}",
-                                    path.display()
-                                );
-                                std::process::exit(2);
-                            }
-                        }
-                    }
-                    for r in &all {
-                        // Engine-only rows: the baseline was not run at
-                        // that size, so print "n/a", not a fake 0.00.
-                        let (baseline, speedup) = match (r.baseline_us, r.speedup()) {
-                            (Some(b), Some(s)) => (format!("{b:.2}"), format!("{s:.2}")),
-                            _ => ("n/a".into(), "n/a".into()),
-                        };
-                        writeln!(
-                            out,
-                            "{}\t{}\t{}\t{}\t{:.2}\t{}",
-                            r.bench, r.name, r.size, baseline, r.engine_us, speedup
-                        )
-                        .unwrap();
-                    }
-                    let merged = registry::emit_json("all", &all);
-                    let out_path = dir.join("BENCH_all.json");
-                    if let Err(e) = std::fs::write(&out_path, merged) {
-                        eprintln!("error: cannot write {}: {e}", out_path.display());
-                        std::process::exit(2);
-                    }
-                    eprintln!("wrote {}", out_path.display());
-                    let violations = registry::check(&all, &registry::default_gates());
-                    if !violations.is_empty() {
-                        for v in &violations {
-                            writeln!(out, "# BENCH GATE VIOLATION: {v}").unwrap();
-                        }
-                        out.flush().unwrap();
-                        std::process::exit(1);
-                    }
-                    writeln!(
-                        out,
-                        "# all {} rows from {} artifact(s) hold every regression gate",
-                        all.len(),
-                        files.len()
-                    )
-                    .unwrap();
                 }
                 "cxl" => {
                     writeln!(

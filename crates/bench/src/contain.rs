@@ -183,8 +183,10 @@ impl ContainScenario {
                 ))
             }
         };
-        let n = r.record("tenants", 1)?.u64(0, "tenants")? as usize;
-        let mut tenants = Vec::with_capacity(n);
+        // The count is untrusted: no pre-reservation, so a huge value fails
+        // on the first missing `tenant` record instead of aborting.
+        let n = r.record("tenants", 1)?.u64(0, "tenants")?;
+        let mut tenants = Vec::new();
         for _ in 0..n {
             let t = r.record("tenant", 10)?;
             tenants.push(TenantScenario::decode_record(&t)?);
@@ -470,6 +472,17 @@ mod tests {
         scn.victim = 99;
         let err = ContainScenario::decode(&scn.encode()).unwrap_err();
         assert!(err.contains("victim index 99 out of range"), "{err}");
+    }
+
+    #[test]
+    fn decode_rejects_huge_tenant_count() {
+        for huge in [u64::MAX, 100_000_000_000] {
+            let bad = format!(
+                "merchcontain 1\nlabel x\nseed 1\npool 10 4\nfault 0 panic 2\ntenants {huge}\n"
+            );
+            let err = ContainScenario::decode(&bad).unwrap_err();
+            assert!(err.contains("missing `tenant` record"), "{err}");
+        }
     }
 
     #[test]

@@ -164,7 +164,7 @@ impl DeviceScenario {
             state = mix64(state);
             prio.swap(i, (state % (i as u64 + 1)) as usize);
         }
-        let mut tenants = Vec::with_capacity(n);
+        let mut tenants = Vec::new();
         for (i, &priority) in prio.iter().enumerate() {
             let tseed = mix64(seed ^ ((i as u64) << 8) ^ 0xDE1C_0000) & 0xFFFF_FFFF;
             let mut draw = tseed;
@@ -288,6 +288,15 @@ impl DeviceScenario {
             n_tenants: s.u64(3, "n_tenants")? as usize,
         };
         r.finish()?;
+        // Every tenant of the mix needs its own `u8` priority.
+        if scn.n_tenants > usize::from(u8::MAX) {
+            return Err(format!(
+                "device scenario line {}, field `n_tenants`: {} exceeds {} tenants",
+                s.line_no,
+                scn.n_tenants,
+                u8::MAX
+            ));
+        }
         Ok(scn)
     }
 }
@@ -741,5 +750,18 @@ mod tests {
         assert!(err.contains("unknown tier"), "{err}");
         let trailing = format!("{good}junk 1\n");
         assert!(DeviceScenario::decode(&trailing).is_err());
+    }
+
+    #[test]
+    fn decode_rejects_huge_tenant_count() {
+        let app = AppKind::all()[0].name();
+        for huge in [u64::MAX, 100_000_000_000] {
+            let bad = format!(
+                "merchdevice 1\ncase 0\nseed 1\napp {app}\ndevice 0.01 Pm 0 1.0 1.0 0 0\n\
+                 crash 0\nservice 10 1 1 {huge}\n"
+            );
+            let err = DeviceScenario::decode(&bad).unwrap_err();
+            assert!(err.contains("field `n_tenants`"), "{err}");
+        }
     }
 }

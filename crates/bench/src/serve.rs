@@ -298,8 +298,10 @@ impl ServeScenario {
         let pool = r.record("pool", 2)?;
         let pool_pages = pool.u64(0, "pool_pages")?;
         let queue_bound = pool.u64(1, "queue_bound")? as usize;
-        let n = r.record("tenants", 1)?.u64(0, "tenants")? as usize;
-        let mut tenants = Vec::with_capacity(n);
+        // The count is untrusted: no pre-reservation, so a huge value fails
+        // on the first missing `tenant` record instead of aborting.
+        let n = r.record("tenants", 1)?.u64(0, "tenants")?;
+        let mut tenants = Vec::new();
         for _ in 0..n {
             let t = r.record("tenant", 10)?;
             tenants.push(TenantScenario::decode_record(&t)?);
@@ -509,6 +511,15 @@ mod tests {
         let bad = good.replace("tenant t1", "tenant");
         let err = ServeScenario::decode(&bad).unwrap_err();
         assert!(err.contains("line") && err.contains("tenant"), "{err}");
+    }
+
+    #[test]
+    fn decode_rejects_huge_tenant_count() {
+        for huge in [u64::MAX, 100_000_000_000] {
+            let bad = format!("merchserve 1\nlabel x\nseed 1\npool 10 4\ntenants {huge}\n");
+            let err = ServeScenario::decode(&bad).unwrap_err();
+            assert!(err.contains("missing `tenant` record"), "{err}");
+        }
     }
 
     #[test]

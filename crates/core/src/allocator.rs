@@ -16,8 +16,7 @@
 //! recurrence visits, memoised across rounds in a [`CurveCache`] keyed on
 //! everything a prediction depends on. The emitted plan is **bitwise
 //! identical** to the retained scan-based [`plan_dram_accesses_reference`]
-//! (`tests/planner_props.rs` proves it property-wise; the planner bench's
-//! `--smoke` mode re-checks it at runtime).
+//! (`tests/planner_props.rs` proves it property-wise).
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -211,7 +210,7 @@ impl CurveCache {
     }
 
     /// Equation 2 evaluations performed since construction. Grid points
-    /// served from cache cost none — benches and tests use this to verify
+    /// served from cache cost none — the benchmark and tests use this to verify
     /// the warm path really skips the model.
     pub fn evals(&self) -> u64 {
         self.evals

@@ -145,8 +145,7 @@ impl PerformanceModel {
     }
 
     /// Compile f(·) into the flattened fast-inference form. The compiled
-    /// model predicts bitwise identically (planner bench `--smoke` asserts
-    /// this at runtime).
+    /// model predicts bitwise identically to the interpreted one.
     pub fn compile(&self) -> CompiledPerformanceModel {
         CompiledPerformanceModel {
             f: CompiledEnsemble::compile(&self.f),

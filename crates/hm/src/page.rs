@@ -25,8 +25,7 @@
 //! (weight-bits, tier)-equal streaks contribute `weight * streak_len`, and
 //! per-shard partial sums fold in shard order. The per-page [`RefTable`]
 //! oracle implements the identical spec, so extent-engine outputs can be
-//! compared bitwise against a straightforward per-page model in tests and
-//! benches.
+//! compared bitwise against a straightforward per-page model in tests.
 
 use std::collections::BTreeSet;
 use std::ops::Range;
@@ -764,48 +763,6 @@ impl PageTable {
         first
     }
 
-    /// Append `num_pages` uniform-weight pages for a new object with the
-    /// tier alternating every page (even offsets on `tiers[0]`, odd on
-    /// `tiers[1]`): no two neighbours coalesce, so the table holds one run
-    /// *per page* — the fragmentation-adversarial worst case for run
-    /// storage, which the compact node arena exists to hold at scale.
-    /// Bench/test builder; state-identical to [`extend_for_object`]
-    /// (tier `tiers[0]`) followed by a [`set_tier`] of every odd page to
-    /// `tiers[1]`.
-    ///
-    /// [`extend_for_object`]: Self::extend_for_object
-    /// [`set_tier`]: Self::set_tier
-    pub fn extend_alternating_for_object(
-        &mut self,
-        object: ObjectId,
-        tiers: [Tier; 2],
-        num_pages: u64,
-        weight: f64,
-    ) -> PageId {
-        let first = self.num_pages;
-        let infos = tiers.map(|tier| PageInfo {
-            object,
-            tier,
-            weight,
-            accessed: false,
-            access_count: 0.0,
-            migrations: 0,
-        });
-        for id in first..first + num_pages {
-            let si = shard_of(id);
-            if si == self.shards.len() {
-                self.shards.push(Shard::new(si as u64 * SHARD_PAGES));
-            }
-            self.shards[si].push_seg(1, &infos[((id - first) & 1) as usize]);
-        }
-        self.num_pages = first + num_pages;
-        let even = num_pages.div_ceil(2);
-        self.tier_pages[tier_idx(tiers[0])] += even;
-        self.tier_pages[tier_idx(tiers[1])] += num_pages - even;
-        self.push_object_agg(object, first, num_pages);
-        first
-    }
-
     /// Append one fully-specified page (checkpoint restore only; normal
     /// allocation goes through [`extend_for_object`](Self::extend_for_object)).
     /// Call [`flush_aggregates`](Self::flush_aggregates) once after the
@@ -1306,7 +1263,7 @@ impl PageTable {
     }
 
     /// From-scratch recount of [`bytes_in`](Self::bytes_in) — verification
-    /// only (proptests, benches, explicit oracle checks); release hot
+    /// only (proptests, explicit oracle checks); release hot
     /// paths must rely on the incremental counters instead. O(runs) now,
     /// but still a full-table walk.
     pub fn recount_bytes_in(&self, tier: Tier) -> u64 {
@@ -1364,7 +1321,7 @@ impl PageTable {
 
 /// Per-page reference model implementing the identical observable
 /// semantics as [`PageTable`] — the retained oracle the extent engine is
-/// compared against bitwise in proptests and benches. Deliberately
+/// compared against bitwise in proptests. Deliberately
 /// simple: a flat `Vec<PageInfo>` with O(pages) everything.
 #[derive(Debug, Default, Clone)]
 pub struct RefTable {
@@ -1620,45 +1577,6 @@ mod tests {
         let f = pt.weighted_fraction_in(0..3, Tier::Dram);
         assert!((f - 0.3).abs() < 1e-12);
         assert_eq!(pt.bytes_in(Tier::Dram), PAGE_SIZE);
-    }
-
-    #[test]
-    fn alternating_extend_matches_per_page_migrations() {
-        let n = 37u64;
-        let mut adv = PageTable::default();
-        adv.extend_alternating_for_object(ObjectId(0), [Tier::Pm, Tier::Dram], n, 1.0 / n as f64);
-        // Maximum fragmentation: one run per page, nothing coalesces.
-        assert_eq!(adv.num_extents() as u64, n);
-        let mut slow = PageTable::default();
-        slow.extend_uniform_for_object(ObjectId(0), Tier::Pm, n, 1.0 / n as f64);
-        for id in (1..n).step_by(2) {
-            slow.set_tier(id, Tier::Dram);
-        }
-        adv.flush_aggregates();
-        slow.flush_aggregates();
-        assert_eq!(format!("{adv:?}"), format!("{slow:?}"));
-        adv.debug_verify();
-        // Same-tier striping degenerates to the fully-coalesced layout.
-        let mut uni = PageTable::default();
-        uni.extend_alternating_for_object(ObjectId(0), [Tier::Pm, Tier::Pm], 10, 0.1);
-        assert_eq!(uni.num_extents(), 1);
-    }
-
-    #[test]
-    fn alternating_extend_spills_across_shards() {
-        // One page past a shard boundary: the second shard's base and the
-        // parity (relative to the object start, not the shard) must hold.
-        let n = SHARD_PAGES + 3;
-        let mut adv = PageTable::default();
-        adv.extend_alternating_for_object(ObjectId(0), [Tier::Pm, Tier::Dram], n, 1.0 / n as f64);
-        assert_eq!(adv.num_extents() as u64, n);
-        for id in [0, 1, SHARD_PAGES - 1, SHARD_PAGES, SHARD_PAGES + 1, n - 1] {
-            let want = if id % 2 == 0 { Tier::Pm } else { Tier::Dram };
-            assert_eq!(adv.get(id).tier(), want, "page {id}");
-        }
-        assert_eq!(adv.bytes_in(Tier::Pm), adv.recount_bytes_in(Tier::Pm));
-        assert_eq!(adv.bytes_in(Tier::Dram), adv.recount_bytes_in(Tier::Dram));
-        adv.debug_verify();
     }
 
     #[test]

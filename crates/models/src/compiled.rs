@@ -15,8 +15,8 @@
 //!
 //! Compilation preserves node order and the stage-order summation of the
 //! interpreter, so `predict_one` is **bitwise identical** to the
-//! interpreted ensemble (asserted by the planner bench on every run, smoke
-//! included, and by the persistence round-trip tests).
+//! interpreted ensemble (asserted by `compiled_matches_interpreted_bitwise`
+//! and by the persistence round-trip tests).
 
 use crate::gbr::GradientBoostedRegressor;
 use crate::tree::PortableNode;
@@ -207,7 +207,7 @@ impl CompiledEnsemble {
     }
 
     /// Predict many rows (the table-fill path of the planner's r-grid time
-    /// curves and the bench driver).
+    /// curves).
     pub fn predict_batch(&self, rows: &[Vec<f64>]) -> Vec<f64> {
         rows.iter().map(|r| self.predict_one(r)).collect()
     }
