@@ -18,29 +18,18 @@
 //! gracefully Merchandiser degrades. `recover` (also not part of `all`)
 //! crashes each app mid-run, restores from the WAL, and verifies the
 //! resumed run is bit-identical to an uninterrupted one; it exits non-zero
-//! on any mismatch. `soak` (also not part of `all`) runs seeded randomized
-//! fault schedules through the invariant oracle; on a violation it writes a
-//! minimized reproducer file and exits non-zero, and `--replay <file>` runs
-//! such a reproducer back. `serve` (also not part of `all`) runs the
-//! multi-tenant placement service through seeded capacity and overload
-//! scenarios — chaos co-tenants included — and verifies replay determinism,
-//! per-tenant isolation against solo baselines, quota enforcement, and
-//! priority-ordered shedding; any violation exits non-zero. `--smoke`
-//! shrinks the serve sweep for CI, and `--replay <file> serve` replays a
-//! `merchserve` scenario file. `device` (also not part of `all`) sweeps
-//! seeded device-fault scenarios — ECC-UE page poisoning, tier degradation
-//! windows, permanent DRAM offlining — through both the runtime (with a
-//! crash/checkpoint-recovery leg) and the placement service's capacity-loss
-//! renegotiation, checking zero poisoned-frame residencies, exact capacity
-//! accounting, bitwise replay determinism, and priority-ordered grant
-//! renegotiation; a violation dumps a replayable `merchdevice` scenario and
-//! exits non-zero. `contain` (also not part of `all`) runs the service's
-//! fault-containment sweep: one tenant panics or stalls under a scripted
-//! fault while its circuit breaker trips, drains, and probes, and the gates
-//! verify survivors stay bitwise identical to a no-fault run, released
-//! grants are re-absorbed, and Half-Open recovery replays deterministically;
-//! a violation dumps a replayable `merchcontain` scenario and exits
-//! non-zero.
+//! on any mismatch.
+//!
+//! `soak`, `serve`, `device` and `contain` (also not part of `all`) are the
+//! suites of the scenario engine (`merch_bench::scenario`): seeded fault
+//! schedules over one app; capacity and overload tenant mixes with chaos
+//! co-tenants; device faults through the runtime and a mid-run pool
+//! offline; one panicking or stalling tenant among co-tenants. Each runs
+//! its scenarios through the engine's gates and exits non-zero on any
+//! violation, writing a shrunk `merchscenario` reproducer per failing
+//! scenario. `--replay FILE <suite>` runs such a file back; a file that
+//! does not decode, or that names another suite, exits 2. `--quick` sizes
+//! the soak sweep for CI, `--smoke` the other three.
 //!
 //! Output is TSV on stdout, one block per experiment, in the same
 //! rows/series the paper reports. Seeds are fixed by default so runs are
@@ -50,8 +39,12 @@
 //! non-zero.
 
 use std::io::Write;
+use std::path::Path;
 
 use merch_bench::experiments as exp;
+use merch_bench::scenario::{self, Outcome, Scenario, Service, Suite};
+use merch_hm::service::ServiceReport;
+use merch_hm::PAGE_SIZE;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -505,11 +498,14 @@ fn main() {
                             r.rounds_recovered,
                             r.wal_records,
                             r.resumed_total_ns / 1e6,
-                            if r.identical { "yes" } else { "MISMATCH" }
+                            r.mismatch.as_ref().map_or_else(
+                                || "yes".to_string(),
+                                |why| format!("MISMATCH ({why})")
+                            )
                         )
                         .unwrap();
                     }
-                    let mismatches = rows.iter().filter(|r| !r.identical).count();
+                    let mismatches = rows.iter().filter(|r| r.mismatch.is_some()).count();
                     if mismatches > 0 {
                         writeln!(out, "# RECOVERY MISMATCH in {mismatches} cell(s)").unwrap();
                         std::process::exit(1);
@@ -521,268 +517,11 @@ fn main() {
                     )
                     .unwrap();
                 }
-                "soak" => {
-                    let art = artifacts.as_ref().unwrap();
-                    if let Some(path) = &replay {
-                        let text = match std::fs::read_to_string(path) {
-                            Ok(t) => t,
-                            Err(e) => {
-                                eprintln!("error: cannot read reproducer {}: {e}", path.display());
-                                std::process::exit(2);
-                            }
-                        };
-                        writeln!(out, "\n# Chaos soak — replaying {}", path.display()).unwrap();
-                        match merch_bench::soak::soak_replay(&text, &art.model) {
-                            Ok(row) => {
-                                write_soak_header(&mut out);
-                                write_soak_row(&mut out, &row);
-                                writeln!(out, "# reproducer no longer violates any invariant")
-                                    .unwrap();
-                            }
-                            Err(msg) => {
-                                writeln!(out, "# SOAK VIOLATION (replay): {msg}").unwrap();
-                                out.flush().unwrap();
-                                std::process::exit(1);
-                            }
-                        }
-                    } else {
-                        let cases = if quick { 6 } else { 24 };
-                        writeln!(
-                        out,
-                        "\n# Chaos soak — {cases} seeded fault schedules through the invariant oracle"
-                    )
-                    .unwrap();
-                        write_soak_header(&mut out);
-                        let outcome = merch_bench::soak::soak(&art.model, seed, cases);
-                        for row in &outcome.rows {
-                            write_soak_row(&mut out, row);
-                        }
-                        if let Some(f) = &outcome.failure {
-                            let path = format!("soak-repro-{seed}.txt");
-                            if let Err(e) = std::fs::write(&path, f.reproducer()) {
-                                eprintln!("error: cannot write reproducer {path}: {e}");
-                            }
-                            writeln!(
-                                out,
-                                "# SOAK VIOLATION: invariant `{}` in case {} (round {}) — {}",
-                                f.violation.invariant,
-                                f.violation.case,
-                                f.violation
-                                    .round
-                                    .map(|r| r.to_string())
-                                    .unwrap_or_else(|| "-".to_string()),
-                                f.violation.detail
-                            )
-                            .unwrap();
-                            writeln!(
-                            out,
-                            "# minimized reproducer written to {path}; replay with: repro --replay {path} soak"
-                        )
-                        .unwrap();
-                            out.flush().unwrap();
-                            std::process::exit(1);
-                        }
-                        writeln!(
-                            out,
-                            "# all {} soak cases hold every invariant",
-                            outcome.rows.len()
-                        )
-                        .unwrap();
-                    }
-                }
-                "serve" => {
-                    let art = artifacts.as_ref().unwrap();
-                    if let Some(path) = &replay {
-                        let text = match std::fs::read_to_string(path) {
-                            Ok(t) => t,
-                            Err(e) => {
-                                eprintln!("error: cannot read scenario {}: {e}", path.display());
-                                std::process::exit(2);
-                            }
-                        };
-                        writeln!(out, "\n# Placement service — replaying {}", path.display())
-                            .unwrap();
-                        match merch_bench::serve::serve_replay(&text, &art.model) {
-                            Ok(row) => {
-                                write_serve_scenario(&mut out, &row);
-                                if !row.violations.is_empty() {
-                                    out.flush().unwrap();
-                                    std::process::exit(1);
-                                }
-                                writeln!(out, "# replayed scenario holds every gate").unwrap();
-                            }
-                            Err(msg) => {
-                                writeln!(out, "# SERVE REPLAY ERROR: {msg}").unwrap();
-                                out.flush().unwrap();
-                                std::process::exit(2);
-                            }
-                        }
-                    } else {
-                        writeln!(
-                            out,
-                            "\n# Placement service — seeded multi-tenant scenarios (smoke={smoke})"
-                        )
-                        .unwrap();
-                        let rows = merch_bench::serve::serve(&art.model, seed, smoke);
-                        let mut violated = false;
-                        for row in &rows {
-                            write_serve_scenario(&mut out, row);
-                            if !row.violations.is_empty() {
-                                violated = true;
-                                let path = format!("serve-repro-{seed}-{}.txt", row.scenario.label);
-                                if let Err(e) = std::fs::write(&path, row.scenario.encode()) {
-                                    eprintln!("error: cannot write scenario {path}: {e}");
-                                } else {
-                                    writeln!(
-                                        out,
-                                        "# scenario written to {path}; replay with: repro --replay {path} serve"
-                                    )
-                                    .unwrap();
-                                }
-                            }
-                        }
-                        if violated {
-                            out.flush().unwrap();
-                            std::process::exit(1);
-                        }
-                        writeln!(out, "# all {} serve scenarios hold every gate", rows.len())
-                            .unwrap();
-                    }
-                }
-                "device" => {
-                    let art = artifacts.as_ref().unwrap();
-                    if let Some(path) = &replay {
-                        let text = match std::fs::read_to_string(path) {
-                            Ok(t) => t,
-                            Err(e) => {
-                                eprintln!("error: cannot read scenario {}: {e}", path.display());
-                                std::process::exit(2);
-                            }
-                        };
-                        writeln!(out, "\n# Device faults — replaying {}", path.display()).unwrap();
-                        match merch_bench::device::device_replay(&text, &art.model) {
-                            Ok(row) => {
-                                write_device_header(&mut out);
-                                write_device_row(&mut out, &row);
-                                if !row.violations.is_empty() {
-                                    out.flush().unwrap();
-                                    std::process::exit(1);
-                                }
-                                writeln!(out, "# replayed scenario holds every device invariant")
-                                    .unwrap();
-                            }
-                            Err(msg) => {
-                                writeln!(out, "# DEVICE REPLAY ERROR: {msg}").unwrap();
-                                out.flush().unwrap();
-                                std::process::exit(2);
-                            }
-                        }
-                    } else {
-                        writeln!(
-                            out,
-                            "\n# Device fault domain — page poisoning, degradation windows, capacity offlining (smoke={smoke})"
-                        )
-                        .unwrap();
-                        write_device_header(&mut out);
-                        let rows = merch_bench::device::device(&art.model, seed, smoke);
-                        let mut violated = false;
-                        for row in &rows {
-                            write_device_row(&mut out, row);
-                            if !row.violations.is_empty() {
-                                violated = true;
-                                let path = format!("device-repro-{seed}-{}.txt", row.scenario.case);
-                                let mut text = String::new();
-                                for v in &row.violations {
-                                    text.push_str(&format!("# device invariant violation: {v}\n"));
-                                }
-                                text.push_str(&row.scenario.encode());
-                                if let Err(e) = std::fs::write(&path, text) {
-                                    eprintln!("error: cannot write scenario {path}: {e}");
-                                } else {
-                                    writeln!(
-                                        out,
-                                        "# scenario written to {path}; replay with: repro --replay {path} device"
-                                    )
-                                    .unwrap();
-                                }
-                            }
-                        }
-                        if violated {
-                            out.flush().unwrap();
-                            std::process::exit(1);
-                        }
-                        writeln!(
-                            out,
-                            "# all {} device scenarios hold every invariant",
-                            rows.len()
-                        )
-                        .unwrap();
-                    }
-                }
-                "contain" => {
-                    let art = artifacts.as_ref().unwrap();
-                    if let Some(path) = &replay {
-                        let text = match std::fs::read_to_string(path) {
-                            Ok(t) => t,
-                            Err(e) => {
-                                eprintln!("error: cannot read scenario {}: {e}", path.display());
-                                std::process::exit(2);
-                            }
-                        };
-                        writeln!(out, "\n# Fault containment — replaying {}", path.display())
-                            .unwrap();
-                        match merch_bench::contain::contain_replay(&text, &art.model) {
-                            Ok(row) => {
-                                write_contain_row(&mut out, &row);
-                                if !row.violations.is_empty() {
-                                    out.flush().unwrap();
-                                    std::process::exit(1);
-                                }
-                                writeln!(out, "# replayed scenario holds every containment gate")
-                                    .unwrap();
-                            }
-                            Err(msg) => {
-                                writeln!(out, "# CONTAIN REPLAY ERROR: {msg}").unwrap();
-                                out.flush().unwrap();
-                                std::process::exit(2);
-                            }
-                        }
-                    } else {
-                        writeln!(
-                            out,
-                            "\n# Fault containment — panic isolation, tenant circuit breakers, supervised draining (smoke={smoke})"
-                        )
-                        .unwrap();
-                        let rows = merch_bench::contain::contain(&art.model, seed, smoke);
-                        let mut violated = false;
-                        for row in &rows {
-                            write_contain_row(&mut out, row);
-                            if !row.violations.is_empty() {
-                                violated = true;
-                                let path =
-                                    format!("contain-repro-{seed}-{}.txt", row.scenario.label);
-                                if let Err(e) = std::fs::write(&path, row.scenario.encode()) {
-                                    eprintln!("error: cannot write scenario {path}: {e}");
-                                } else {
-                                    writeln!(
-                                        out,
-                                        "# scenario written to {path}; replay with: repro --replay {path} contain"
-                                    )
-                                    .unwrap();
-                                }
-                            }
-                        }
-                        if violated {
-                            out.flush().unwrap();
-                            std::process::exit(1);
-                        }
-                        writeln!(
-                            out,
-                            "# all {} containment scenarios hold every gate",
-                            rows.len()
-                        )
-                        .unwrap();
-                    }
+                name @ ("soak" | "serve" | "device" | "contain") => {
+                    let suite = Suite::from_name(name).expect("matched a suite name");
+                    let small = if suite == Suite::Soak { quick } else { smoke };
+                    let model = &artifacts.as_ref().unwrap().model;
+                    run_suite(&mut out, suite, model, seed, small, replay.as_deref());
                 }
                 "cxl" => {
                     writeln!(
@@ -824,17 +563,196 @@ fn serve_status(s: &merch_hm::TenantStatus) -> String {
     }
 }
 
-fn write_serve_scenario(out: &mut impl Write, row: &merch_bench::serve::ServeRow) {
-    let scn = &row.scenario;
-    let rep = &row.report;
+fn yes_no(b: bool) -> &'static str {
+    if b {
+        "yes"
+    } else {
+        "no"
+    }
+}
+
+const SOAK_HEADER: &str = "case\tapp\tseed\tfail_rate\tretries\tpte_dropout\tpmc_dropout\tpressure_kib\tperiod\tblackout\tcrash\trounds\tdegraded_rounds\tepoch_commits\tepoch_rollbacks\tmig_retries\tfailed_pages\trecovered";
+const DEVICE_HEADER: &str = "case\tapp\tseed\tpoison_rate\tdegrade\toffline\trounds\tpoisoned\twindow_rounds\tofflined_kib\tcrash\tkept\tsqueezed\tdisplaced\tshed\tquota_violations";
+
+/// Run one scenario-engine suite — its seeded sweep, or the reproducer at
+/// `replay` — and print the suite's table. A failing sweep writes one
+/// reproducer per failing scenario; any violation exits 1, an unusable
+/// replay file 2.
+fn run_suite(
+    out: &mut impl Write,
+    suite: Suite,
+    model: &merchandiser::PerformanceModel,
+    seed: u64,
+    small: bool,
+    replay: Option<&Path>,
+) {
+    let title = match suite {
+        Suite::Soak => "Chaos soak — seeded fault schedules through the invariant oracle",
+        Suite::Serve => "Placement service — seeded multi-tenant scenarios",
+        Suite::Device => {
+            "Device fault domain — page poisoning, degradation windows, capacity offlining"
+        }
+        Suite::Contain => {
+            "Fault containment — panic isolation, tenant circuit breakers, supervised draining"
+        }
+    };
+    writeln!(out, "\n# {title}").unwrap();
+    let scenarios = match replay {
+        None => suite.generate(seed, small),
+        Some(path) => {
+            let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+                eprintln!("error: cannot read scenario {}: {e}", path.display());
+                std::process::exit(2)
+            });
+            writeln!(out, "# replaying {}", path.display()).unwrap();
+            match Scenario::decode(&text) {
+                Ok(scn) if scn.suite == suite => vec![scn],
+                Ok(scn) => {
+                    let other = scn.suite.name();
+                    eprintln!(
+                        "error: {} is a `{other}` scenario; replay it with: repro --replay {} {other}",
+                        path.display(),
+                        path.display()
+                    );
+                    std::process::exit(2)
+                }
+                Err(msg) => {
+                    writeln!(out, "# REPLAY ERROR: {msg}").unwrap();
+                    out.flush().unwrap();
+                    std::process::exit(2)
+                }
+            }
+        }
+    };
+    match suite {
+        Suite::Soak => writeln!(out, "{SOAK_HEADER}").unwrap(),
+        Suite::Device => writeln!(out, "{DEVICE_HEADER}").unwrap(),
+        Suite::Serve | Suite::Contain => {}
+    }
+    let outcomes = scenario::run_all(scenarios, model);
+    let shout = suite.name().to_uppercase();
+    for o in &outcomes {
+        write_outcome(out, o);
+        for v in &o.violations {
+            writeln!(out, "# {shout} VIOLATION [{}]: {v}", o.scenario.label).unwrap();
+        }
+    }
+    let failed: Vec<&Outcome> = outcomes
+        .iter()
+        .filter(|o| !o.violations.is_empty())
+        .collect();
+    if failed.is_empty() {
+        let n = outcomes.len();
+        writeln!(out, "# all {n} {} scenarios hold every gate", suite.name()).unwrap();
+        return;
+    }
+    for o in failed.into_iter().filter(|_| replay.is_none()) {
+        let path = format!("{}-repro-{seed}-{}.txt", suite.name(), o.scenario.label);
+        match std::fs::write(&path, scenario::reproducer(o, model)) {
+            Ok(()) => writeln!(
+                out,
+                "# reproducer written to {path}; replay with: repro --replay {path} {}",
+                suite.name()
+            )
+            .unwrap(),
+            Err(e) => eprintln!("error: cannot write reproducer {path}: {e}"),
+        }
+    }
+    out.flush().unwrap();
+    std::process::exit(1);
+}
+
+/// Print one outcome in its suite's layout: a soak or device row, or a
+/// serve or contain scenario block.
+fn write_outcome(out: &mut impl Write, o: &Outcome) {
+    let scn = &o.scenario;
+    let label = &scn.label;
+    match (scn.suite, &scn.solo, &o.solo, &scn.service, &o.service) {
+        (Suite::Soak, Some(s), Some(run), _, _) => {
+            let (p, r) = (&s.plan, &run.report);
+            writeln!(
+                out,
+                "{label}\t{}\t{}\t{:.2}\t{}\t{:.2}\t{:.2}\t{}\t{}\t{:.2}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
+                s.app.name(),
+                s.seed,
+                p.migration_fail_rate,
+                p.migration_max_retries,
+                p.pte_sample_dropout,
+                p.pmc_event_dropout,
+                p.dram_pressure_bytes / 1024,
+                p.pressure_period_rounds,
+                p.telemetry_blackout,
+                s.crash.map_or_else(|| "-".to_string(), |c| c.label()),
+                r.rounds.len(),
+                r.fault.degraded_rounds,
+                r.epoch_commits,
+                r.epoch_rollbacks,
+                r.fault.migration_retries,
+                r.fault.failed_pages,
+                match run.crash_fired {
+                    None => "-",
+                    Some(true) => "yes",
+                    Some(false) => "unfired",
+                }
+            )
+            .unwrap();
+        }
+        (Suite::Device, Some(s), Some(run), _, Some(service)) => {
+            let (p, r) = (&s.plan, &run.report);
+            let degrade = if p.degradation_enabled() {
+                format!(
+                    "{:?}x{:.2}/{:.2}@{}",
+                    p.degrade_tier, p.degrade_lat_mult, p.degrade_bw_mult, p.degrade_period_rounds
+                )
+            } else {
+                "-".to_string()
+            };
+            let offline = match p.offline_bytes / PAGE_SIZE {
+                0 => "-".to_string(),
+                pages => format!("{pages}p@{}", p.offline_round),
+            };
+            let ren = service.renegotiation.clone().unwrap_or_default();
+            writeln!(
+                out,
+                "{label}\t{}\t{}\t{:.2}\t{degrade}\t{offline}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
+                s.app.name(),
+                s.seed,
+                p.page_poison_rate,
+                r.rounds.len(),
+                r.fault.pages_poisoned,
+                r.fault.degraded_window_rounds,
+                r.fault.offlined_bytes / 1024,
+                if run.crash_fired == Some(true) {
+                    "recovered"
+                } else {
+                    "unfired"
+                },
+                ren.kept.len(),
+                ren.squeezed.len(),
+                ren.displaced.len(),
+                ren.shed.len(),
+                service.report.quota_violations
+            )
+            .unwrap();
+        }
+        (Suite::Serve, _, _, Some(svc), Some(run)) => {
+            write_serve_block(out, label, svc, &run.report)
+        }
+        (Suite::Contain, _, _, Some(svc), Some(run)) => {
+            write_contain_block(out, label, svc, &run.report)
+        }
+        _ => {}
+    }
+}
+
+fn write_serve_block(out: &mut impl Write, label: &str, svc: &Service, rep: &ServiceReport) {
     writeln!(
         out,
-        "# scenario {} — seed {}, pool {} pages, queue bound {}, {} tenants",
-        scn.label,
-        scn.seed,
-        scn.pool_pages,
-        scn.queue_bound,
-        scn.tenants.len()
+        "# scenario {label} — seed {}, pool {} pages, queue bound {}, {} tenants",
+        svc.seed,
+        svc.pool_pages,
+        svc.queue_bound,
+        svc.tenants.len()
     )
     .unwrap();
     writeln!(
@@ -842,7 +760,7 @@ fn write_serve_scenario(out: &mut impl Write, row: &merch_bench::serve::ServeRow
         "tenant\tapp\tpolicy\tprio\tweight\tquota_pages\tgranted_pages\tsqueezed\tchaos\tstatus\twait_ms\tservice_ms\trounds\tdeadline_missed\tretry_responses"
     )
     .unwrap();
-    for (t, r) in scn.tenants.iter().zip(&rep.tenants) {
+    for (t, r) in svc.tenants.iter().zip(&rep.tenants) {
         writeln!(
             out,
             "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{:.3}\t{:.3}\t{}/{}\t{}\t{}",
@@ -851,18 +769,17 @@ fn write_serve_scenario(out: &mut impl Write, row: &merch_bench::serve::ServeRow
             t.policy.name(),
             r.priority,
             r.weight,
-            r.requested_quota / merch_hm::PAGE_SIZE,
-            r.granted_quota / merch_hm::PAGE_SIZE,
-            if r.squeezed { "yes" } else { "no" },
+            r.requested_quota / PAGE_SIZE,
+            r.granted_quota / PAGE_SIZE,
+            yes_no(r.squeezed),
             t.chaos_case
-                .map(|c| c.to_string())
-                .unwrap_or_else(|| "-".to_string()),
+                .map_or_else(|| "-".to_string(), |c| c.to_string()),
             serve_status(&r.status),
             r.wait_ns / 1e6,
             r.service_ns / 1e6,
             r.rounds_done,
             r.rounds_total,
-            if r.deadline_missed { "yes" } else { "no" },
+            yes_no(r.deadline_missed),
             r.retry_responses
         )
         .unwrap();
@@ -880,28 +797,20 @@ fn write_serve_scenario(out: &mut impl Write, row: &merch_bench::serve::ServeRow
         rep.fairness_jain
     )
     .unwrap();
-    for v in &row.violations {
-        writeln!(out, "# SERVE VIOLATION: {v}").unwrap();
-    }
 }
 
-fn write_contain_row(out: &mut impl Write, row: &merch_bench::contain::ContainRow) {
-    let scn = &row.scenario;
-    let rep = &row.report;
-    let fault = match scn.fault {
-        merch_bench::contain::ContainFault::Panic { round } => format!("panic@{round}"),
-        merch_bench::contain::ContainFault::Stall { round, rounds } => {
-            format!("stall@{round}x{rounds}")
-        }
+fn write_contain_block(out: &mut impl Write, label: &str, svc: &Service, rep: &ServiceReport) {
+    let Some((victim, fault)) = svc.victim else {
+        return;
     };
     writeln!(
         out,
-        "# scenario {} — seed {}, pool {} pages, {} tenants, victim {} ({fault})",
-        scn.label,
-        scn.seed,
-        scn.pool_pages,
-        scn.tenants.len(),
-        scn.tenants[scn.victim].name,
+        "# scenario {label} — seed {}, pool {} pages, {} tenants, victim {} ({})",
+        svc.seed,
+        svc.pool_pages,
+        svc.tenants.len(),
+        svc.tenants[victim].name,
+        fault.label()
     )
     .unwrap();
     writeln!(
@@ -909,25 +818,21 @@ fn write_contain_row(out: &mut impl Write, row: &merch_bench::contain::ContainRo
         "tenant\tapp\tpolicy\tvictim\tstatus\trounds\ttrips\tpanics\tstalled\tgranted_pages"
     )
     .unwrap();
-    for (t, r) in scn.tenants.iter().zip(&rep.tenants) {
+    for (t, r) in svc.tenants.iter().zip(&rep.tenants) {
         writeln!(
             out,
             "{}\t{}\t{}\t{}\t{}\t{}/{}\t{}\t{}\t{}\t{}",
             r.name,
             t.app.name(),
             t.policy.name(),
-            if r.id as usize == scn.victim {
-                "yes"
-            } else {
-                "no"
-            },
+            yes_no(r.id as usize == victim),
             serve_status(&r.status),
             r.rounds_done,
             r.rounds_total,
             r.breaker_trips,
             r.fault.tenant_panics,
             r.fault.stalled_rounds,
-            r.granted_quota / merch_hm::PAGE_SIZE,
+            r.granted_quota / PAGE_SIZE,
         )
         .unwrap();
     }
@@ -938,105 +843,8 @@ fn write_contain_row(out: &mut impl Write, row: &merch_bench::contain::ContainRo
         rep.completed,
         rep.quarantined,
         rep.tripped,
-        row.victim_trips,
+        rep.tenants[victim].breaker_trips,
         rep.quota_violations
-    )
-    .unwrap();
-    for v in &row.violations {
-        writeln!(out, "# CONTAIN VIOLATION: {v}").unwrap();
-    }
-}
-
-fn write_device_header(out: &mut impl Write) {
-    writeln!(
-        out,
-        "case\tapp\tseed\tpoison_rate\tdegrade\toffline\trounds\tpoisoned\twindow_rounds\tofflined_kib\tcrash\tkept\tsqueezed\tdisplaced\tshed\tquota_violations"
-    )
-    .unwrap();
-}
-
-fn write_device_row(out: &mut impl Write, r: &merch_bench::device::DeviceRow) {
-    let s = &r.scenario;
-    let degrade = if s.degrade_lat_mult == 1.0 && s.degrade_bw_mult == 1.0 {
-        "-".to_string()
-    } else {
-        format!(
-            "{:?}x{:.2}/{:.2}@{}",
-            s.degrade_tier, s.degrade_lat_mult, s.degrade_bw_mult, s.degrade_period
-        )
-    };
-    let offline = if s.offline_pages == 0 {
-        "-".to_string()
-    } else {
-        format!("{}p@{}", s.offline_pages, s.offline_round)
-    };
-    writeln!(
-        out,
-        "{}\t{}\t{}\t{:.2}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-        s.case,
-        s.app.name(),
-        s.seed,
-        s.poison_rate,
-        degrade,
-        offline,
-        r.rounds,
-        r.pages_poisoned,
-        r.degraded_window_rounds,
-        r.offlined_bytes / 1024,
-        if r.crash_fired {
-            "recovered"
-        } else {
-            "unfired"
-        },
-        r.renegotiation.kept.len(),
-        r.renegotiation.squeezed.len(),
-        r.renegotiation.displaced.len(),
-        r.renegotiation.shed.len(),
-        r.service.quota_violations
-    )
-    .unwrap();
-    for v in &r.violations {
-        writeln!(out, "# DEVICE VIOLATION: {v}").unwrap();
-    }
-}
-
-fn write_soak_header(out: &mut impl Write) {
-    writeln!(
-        out,
-        "case\tapp\tseed\tfail_rate\tretries\tpte_dropout\tpmc_dropout\tpressure_kib\tperiod\tblackout\tcrash\trounds\tdegraded_rounds\tepoch_commits\tepoch_rollbacks\tmig_retries\tfailed_pages\trecovered"
-    )
-    .unwrap();
-}
-
-fn write_soak_row(out: &mut impl Write, r: &merch_bench::soak::SoakRow) {
-    let s = &r.schedule;
-    writeln!(
-        out,
-        "{}\t{}\t{}\t{:.2}\t{}\t{:.2}\t{:.2}\t{}\t{}\t{:.2}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-        s.case,
-        s.app.name(),
-        s.seed,
-        s.fail_rate,
-        s.retries,
-        s.pte_dropout,
-        s.pmc_dropout,
-        s.pressure_bytes / 1024,
-        s.pressure_period,
-        s.blackout,
-        s.crash
-            .map(|c| c.label())
-            .unwrap_or_else(|| "-".to_string()),
-        r.rounds,
-        r.degraded_rounds,
-        r.epoch_commits,
-        r.epoch_rollbacks,
-        r.migration_retries,
-        r.failed_pages,
-        match r.crash_recovered {
-            None => "-",
-            Some(true) => "yes",
-            Some(false) => "unfired",
-        }
     )
     .unwrap();
 }

@@ -177,6 +177,39 @@ pub fn build_policy(
 pub trait PolicyObj: PlacementPolicy + Sync {}
 impl<T: PlacementPolicy + Sync> PolicyObj for T {}
 
+/// An executor over a boxed workload and policy.
+type Exec = Executor<Box<dyn HpcApp>, Box<dyn PolicyObj>>;
+
+/// The workload and policy of one run, both seeded by `seed`.
+pub(crate) fn parts(
+    app: AppKind,
+    policy: PolicyKind,
+    seed: u64,
+    model: &PerformanceModel,
+) -> (Box<dyn HpcApp>, Box<dyn PolicyObj>) {
+    let workload = app.build(seed);
+    let policy = build_policy(policy, model, workload.as_ref(), seed);
+    (workload, policy)
+}
+
+/// Build one executor: workload and policy seeded by `seed`, the system
+/// sized by the app's recommended config, `plan` armed (an empty plan
+/// leaves the no-fault path untouched). Identical inputs give a
+/// bitwise-identical executor.
+pub(crate) fn executor(
+    app: AppKind,
+    policy: PolicyKind,
+    seed: u64,
+    model: &PerformanceModel,
+    plan: &merch_hm::FaultPlan,
+) -> Exec {
+    let (workload, policy) = parts(app, policy, seed, model);
+    let mut sys = HmSystem::new(workload.recommended_config(), seed);
+    sys.set_fault_plan(plan.clone())
+        .expect("fault plans are validated when generated or decoded");
+    Executor::new(sys, workload, policy)
+}
+
 /// Run one (app, policy) combination end to end.
 pub fn run_app(
     app_kind: AppKind,
@@ -184,28 +217,14 @@ pub fn run_app(
     model: &PerformanceModel,
     seed: u64,
 ) -> RunReport {
-    let app = app_kind.build(seed);
-    let cfg = app.recommended_config();
-    let policy = build_policy(policy_kind, model, app.as_ref(), seed);
-    Executor::new(HmSystem::new(cfg, seed), app, policy).run()
-}
-
-/// Like [`run_app`], but with a fault plan armed on the memory system
-/// before the run starts.
-pub fn run_app_with_faults(
-    app_kind: AppKind,
-    policy_kind: PolicyKind,
-    model: &PerformanceModel,
-    seed: u64,
-    plan: &merch_hm::FaultPlan,
-) -> RunReport {
-    let app = app_kind.build(seed);
-    let cfg = app.recommended_config();
-    let policy = build_policy(policy_kind, model, app.as_ref(), seed);
-    let mut sys = HmSystem::new(cfg, seed);
-    sys.set_fault_plan(plan.clone())
-        .expect("fault plan must validate");
-    Executor::new(sys, app, policy).run()
+    executor(
+        app_kind,
+        policy_kind,
+        seed,
+        model,
+        &merch_hm::FaultPlan::none(),
+    )
+    .run()
 }
 
 // ---------------------------------------------------------------------------
@@ -266,8 +285,8 @@ pub fn faults(model: &PerformanceModel, seed: u64) -> Vec<FaultRow> {
             .with_seed(seed ^ 0xFA17)
             .with_migration_failures(fail, 2)
             .with_sample_dropout(dropout, dropout);
-        let pm = run_app_with_faults(app, PolicyKind::PmOnly, model, seed, &plan);
-        let merch = run_app_with_faults(app, PolicyKind::Merchandiser, model, seed, &plan);
+        let pm = executor(app, PolicyKind::PmOnly, seed, model, &plan).run();
+        let merch = executor(app, PolicyKind::Merchandiser, seed, model, &plan).run();
         FaultRow {
             app: app.name().to_string(),
             migration_fail_rate: fail,
@@ -302,24 +321,25 @@ pub struct RecoverRow {
     pub wal_records: u64,
     /// Total time of the crash→restore→replay run, ns.
     pub resumed_total_ns: f64,
-    /// Resumed RunReport is bit-identical to the uninterrupted run's.
-    pub identical: bool,
+    /// Why the resumed run is not bit-identical to the uninterrupted run
+    /// (`None`: it is).
+    pub mismatch: Option<String>,
 }
 
 /// Crash every app mid-run — once at a round boundary, once inside a
-/// migration batch — recover from the WAL's last durable checkpoint, and
-/// verify the resumed run reproduces the uninterrupted [`RunReport`] bit
-/// for bit (`Debug` equality covers every numeric field exactly).
+/// migration batch — recover from the WAL's last durable checkpoint through
+/// the scenario engine's crash leg, and verify the resumed run reproduces
+/// the uninterrupted [`RunReport`] bit for bit (`Debug` equality covers
+/// every numeric field exactly).
 pub fn recover(model: &PerformanceModel, seed: u64) -> Vec<RecoverRow> {
-    use merch_hm::{CrashPoint, FaultKind, Wal};
+    use merch_hm::{CrashPoint, FaultKind, FaultPlan};
     // Stage 1: uninterrupted reference run per app.
     let baselines: Vec<(String, u64)> = crate::par::par_map(AppKind::all().to_vec(), |app| {
         let baseline = run_app(app, PolicyKind::Merchandiser, model, seed);
         let mid = (baseline.rounds.len() as u64 / 2).max(1);
         (format!("{baseline:?}"), mid)
     });
-    // Stage 2: every (app × crash scenario) cell independently — each cell
-    // runs against its own WAL file, keyed by pid/app/scenario/seed.
+    // Stage 2: every (app × crash scenario) cell independently.
     let cells: Vec<(usize, &'static str)> = (0..AppKind::all().len())
         .flat_map(|ai| [(ai, "boundary"), (ai, "midmig")])
         .collect();
@@ -334,69 +354,29 @@ pub fn recover(model: &PerformanceModel, seed: u64) -> Vec<RecoverRow> {
             "boundary" => (baselines[ai].1, CrashPoint::BetweenRounds),
             _ => (1, CrashPoint::MidMigration { after_attempts: 1 }),
         };
-        {
-            let wal_path = std::env::temp_dir().join(format!(
-                "merch-recover-{}-{}-{}-{}.wal",
-                std::process::id(),
-                app.name(),
-                name,
-                seed
-            ));
-            // Phase 1: run under WAL supervision until the scripted crash.
-            let workload = app.build(seed);
-            let cfg = workload.recommended_config();
-            let policy = build_policy(PolicyKind::Merchandiser, model, workload.as_ref(), seed);
-            let mut sys = HmSystem::new(cfg, seed);
-            sys.set_fault_plan(merch_hm::FaultPlan::none().with_seed(seed).with_fault(
-                FaultKind::Crash {
-                    round: crash_round,
-                    point,
-                },
-            ))
-            .expect("fault plan must validate");
-            let mut wal = Wal::create(&wal_path).expect("WAL must be creatable");
-            let mut ex = Executor::new(sys, workload, policy);
-            let outcome = ex.run_supervised(&mut wal);
-            let wal_records = wal.stats.records_appended;
-            drop(ex);
-            drop(wal);
-            let (resumed_dbg, resumed_total_ns, rounds_recovered) = match outcome {
-                // The scripted point was never reached (no migration batch
-                // in that round): the supervised run completed and must
-                // already match the uninterrupted one.
-                Ok(report) => {
-                    let total = report.total_time_ns();
-                    let n = report.rounds.len();
-                    (format!("{report:?}"), total, n)
-                }
-                // Phase 2: restore the last durable checkpoint into a
-                // fresh executor (fresh workload + policy, as after a real
-                // restart) and replay to completion.
-                Err(_) => {
-                    let ck = Wal::latest(&wal_path)
-                        .expect("WAL must be readable")
-                        .expect("WAL must hold a checkpoint");
-                    let rounds_recovered = ck.completed.len();
-                    let workload = app.build(seed);
-                    let policy =
-                        build_policy(PolicyKind::Merchandiser, model, workload.as_ref(), seed);
-                    let mut ex =
-                        Executor::resume(ck, workload, policy).expect("resume must succeed");
-                    let resumed = ex.try_run().expect("resumed run must complete");
-                    let total = resumed.total_time_ns();
-                    (format!("{resumed:?}"), total, rounds_recovered)
-                }
-            };
-            let _ = std::fs::remove_file(&wal_path);
-            RecoverRow {
-                app: app.name().to_string(),
-                scenario: name,
-                crash_round,
-                rounds_recovered,
-                wal_records,
-                resumed_total_ns,
-                identical: resumed_dbg == baselines[ai].0,
-            }
+        let plan = FaultPlan::none()
+            .with_seed(seed)
+            .with_fault(FaultKind::Crash {
+                round: crash_round,
+                point,
+            });
+        // A crash point never reached (no migration batch in that round)
+        // leaves a completed supervised run, which must match all the same.
+        let resumed = crate::scenario::crash_and_resume(app, seed, model, &plan);
+        let mismatch = match &resumed {
+            Ok(r) if format!("{:?}", r.report) == baselines[ai].0 => None,
+            Ok(_) => Some("resumed run diverged from the uninterrupted run".to_string()),
+            Err(e) => Some(e.clone()),
+        };
+        let resumed = resumed.ok();
+        RecoverRow {
+            app: app.name().to_string(),
+            scenario: name,
+            crash_round,
+            rounds_recovered: resumed.as_ref().map_or(0, |r| r.rounds_recovered),
+            wal_records: resumed.as_ref().map_or(0, |r| r.wal_records),
+            resumed_total_ns: resumed.as_ref().map_or(0.0, |r| r.report.total_time_ns()),
+            mismatch,
         }
     })
 }

@@ -1,14 +1,14 @@
-//! Shared framing reader for replayable artifact files (`merchsoak`
-//! reproducers, `merchserve` scenarios, `merchdevice` scenarios).
+//! Framing reader for the scenario engine's `merchscenario` reproducer
+//! files.
 //!
-//! All formats are line-oriented: a magic + version header, then tagged
-//! records (`tag tok tok ...`). Blank lines and `#` comments (the context
-//! the soak shrinker appends) are ignored everywhere. The reader's whole
-//! point is *diagnostics*: every error names the 1-based line it came
-//! from, and typed accessors name the field, so a malformed or
-//! version-mismatched file fails with `line 4, field `seed`: bad integer
-//! `x7`` instead of a generic parse error. A recognized magic with an
-//! unsupported version is rejected with the dedicated
+//! The format is line-oriented: a magic + version header, then tagged
+//! records (`tag tok tok ...`). Blank lines and `#` comments (the
+//! violation context a written reproducer carries) are ignored. The
+//! reader's whole point is *diagnostics*: every error names the 1-based
+//! line it came from, and typed accessors name the field, so a malformed
+//! or version-mismatched file fails with `line 4, field `seed`: bad
+//! value `x7`` instead of a generic parse error. A recognized magic with
+//! an unsupported version is rejected with the dedicated
 //! [`ReplayError::UnsupportedVersion`], which carries the observed and
 //! supported versions as data — callers can tell "you need a newer build"
 //! apart from "this file is garbage" without parsing prose.
@@ -22,10 +22,9 @@ pub enum ReplayError {
     /// The magic matched but the declared version is one this build does
     /// not read: the file is genuine, just from a different format epoch.
     UnsupportedVersion {
-        /// Artifact kind, for prose ("soak reproducer").
+        /// Artifact kind, for prose ("scenario").
         kind: &'static str,
-        /// The magic that matched ("merchsoak", "merchserve",
-        /// "merchdevice").
+        /// The magic that matched ("merchscenario").
         magic: String,
         /// 1-based line of the header.
         line_no: usize,
@@ -79,16 +78,6 @@ pub struct Record<'a> {
 }
 
 impl<'a> Record<'a> {
-    /// Number of tokens after the tag.
-    pub fn len(&self) -> usize {
-        self.toks.len()
-    }
-
-    /// Is the record empty (tag only)?
-    pub fn is_empty(&self) -> bool {
-        self.toks.is_empty()
-    }
-
     /// Raw token `i`; errors name the field when it is absent.
     pub fn tok(&self, i: usize, field: &str) -> Result<&'a str, String> {
         self.toks
@@ -97,52 +86,35 @@ impl<'a> Record<'a> {
             .ok_or_else(|| format!("line {}: missing field `{field}` (token {i})", self.line_no))
     }
 
-    /// Parse token `i` as `u64`.
-    pub fn u64(&self, i: usize, field: &str) -> Result<u64, String> {
-        let s = self.tok(i, field)?;
-        s.parse::<u64>()
-            .map_err(|_| format!("line {}, field `{field}`: bad integer `{s}`", self.line_no))
+    /// A diagnostic for a field that is present but unusable.
+    pub fn invalid(&self, field: &str, what: impl std::fmt::Display) -> String {
+        format!("line {}, field `{field}`: {what}", self.line_no)
     }
 
-    /// Parse token `i` as `u32`.
-    pub fn u32(&self, i: usize, field: &str) -> Result<u32, String> {
+    /// Parse token `i` as a `T` (floats accept the `inf`/`NaN` spellings
+    /// `{:?}` emits, since that is what the encoders write).
+    pub fn parse<T: std::str::FromStr>(&self, i: usize, field: &str) -> Result<T, String> {
         let s = self.tok(i, field)?;
-        s.parse::<u32>()
-            .map_err(|_| format!("line {}, field `{field}`: bad integer `{s}`", self.line_no))
-    }
-
-    /// Parse token `i` as `u8`.
-    pub fn u8(&self, i: usize, field: &str) -> Result<u8, String> {
-        let s = self.tok(i, field)?;
-        s.parse::<u8>()
-            .map_err(|_| format!("line {}, field `{field}`: bad integer `{s}`", self.line_no))
-    }
-
-    /// Parse token `i` as `f64` (accepts `inf`/`NaN` spellings `{:?}`
-    /// emits, since that is what the encoders write).
-    pub fn f64(&self, i: usize, field: &str) -> Result<f64, String> {
-        let s = self.tok(i, field)?;
-        s.parse::<f64>()
-            .map_err(|_| format!("line {}, field `{field}`: bad float `{s}`", self.line_no))
+        s.parse()
+            .map_err(|_| self.invalid(field, format!("bad value `{s}`")))
     }
 }
 
 /// Line-oriented reader over a framed artifact file.
 #[derive(Debug)]
 pub struct FramedReader<'a> {
-    /// What kind of artifact this is, for error prose ("soak reproducer").
+    /// What kind of artifact this is, for error prose ("scenario").
     kind: &'static str,
     /// Remaining (line_no, content) pairs, comments and blanks stripped.
     lines: std::vec::IntoIter<(usize, &'a str)>,
     /// Line number of the last record handed out (for EOF diagnostics).
     last_line_no: usize,
-    version: u32,
 }
 
 impl<'a> FramedReader<'a> {
     /// Open `text`, checking the `magic version` header. `supported` lists
     /// the versions this build reads. A wrong magic names what was found
-    /// instead — catching e.g. a serve scenario fed to `--replay ... soak`.
+    /// instead.
     pub fn new(
         kind: &'static str,
         text: &'a str,
@@ -192,21 +164,7 @@ impl<'a> FramedReader<'a> {
             kind,
             lines: it,
             last_line_no: line_no,
-            version,
         })
-    }
-
-    /// The version the header declared.
-    pub fn version(&self) -> u32 {
-        self.version
-    }
-
-    /// The tag of the next record, without consuming it.
-    pub fn peek_tag(&self) -> Option<&'a str> {
-        self.lines
-            .as_slice()
-            .first()
-            .and_then(|(_, l)| l.split_whitespace().next())
     }
 
     /// Next record, asserting its tag and a minimum token count (after the
@@ -257,68 +215,55 @@ mod tests {
 
     #[test]
     fn header_checks_name_the_line() {
-        let err = FramedReader::new("soak reproducer", "", "merchsoak", &[1])
-            .unwrap_err()
-            .to_string();
+        let open = |text| FramedReader::new("scenario", text, "merchscenario", &[1]);
+        let err = open("").unwrap_err().to_string();
         assert!(err.contains("empty file"), "{err}");
-        let err = FramedReader::new("soak reproducer", "merchserve 1\n", "merchsoak", &[1])
-            .unwrap_err()
-            .to_string();
+        let err = open("merchckpt 1\n").unwrap_err().to_string();
         assert!(
-            err.contains("line 1") && err.contains("`merchserve`"),
+            err.contains("line 1") && err.contains("`merchckpt`"),
             "{err}"
         );
-        let err = FramedReader::new("soak reproducer", "merchsoak 9\n", "merchsoak", &[1])
-            .unwrap_err()
-            .to_string();
+        let err = open("merchscenario 9\n").unwrap_err().to_string();
         assert!(
-            err.contains("unsupported merchsoak version 9") && err.contains("reads 1"),
+            err.contains("unsupported merchscenario version 9") && err.contains("reads 1"),
             "{err}"
         );
     }
 
     #[test]
     fn unsupported_version_is_typed_with_observed_and_supported() {
-        for (kind, magic) in [
-            ("soak reproducer", "merchsoak"),
-            ("serve scenario", "merchserve"),
-            ("device scenario", "merchdevice"),
-            ("contain scenario", "merchcontain"),
-        ] {
-            let text = format!("{magic} 9\n");
-            let err = FramedReader::new(kind, &text, magic, &[1, 2]).unwrap_err();
-            assert_eq!(
-                err,
-                ReplayError::UnsupportedVersion {
-                    kind,
-                    magic: magic.to_string(),
-                    line_no: 1,
-                    observed: 9,
-                    supported: vec![1, 2],
-                }
-            );
-            let prose = String::from(err);
-            assert!(
-                prose.contains(&format!("unsupported {magic} version 9"))
-                    && prose.contains("reads 1, 2"),
-                "{prose}"
-            );
-            // A wrong magic is Malformed, not UnsupportedVersion: the file
-            // is not this format at all, so versions are beside the point.
-            let err = FramedReader::new(kind, "merchckpt 4\n", magic, &[1, 2]).unwrap_err();
-            assert!(matches!(err, ReplayError::Malformed(_)), "{err:?}");
-        }
+        let open = |text| FramedReader::new("scenario", text, "merchscenario", &[1, 2]);
+        let err = open("merchscenario 9\n").unwrap_err();
+        assert_eq!(
+            err,
+            ReplayError::UnsupportedVersion {
+                kind: "scenario",
+                magic: "merchscenario".to_string(),
+                line_no: 1,
+                observed: 9,
+                supported: vec![1, 2],
+            }
+        );
+        let prose = String::from(err);
+        assert!(
+            prose.contains("unsupported merchscenario version 9") && prose.contains("reads 1, 2"),
+            "{prose}"
+        );
+        // A wrong magic is Malformed, not UnsupportedVersion: the file is
+        // not this format at all, so versions are beside the point.
+        let err = open("merchckpt 4\n").unwrap_err();
+        assert!(matches!(err, ReplayError::Malformed(_)), "{err:?}");
     }
 
     #[test]
     fn records_report_line_and_field() {
-        let text = "# comment\nmerchsoak 1\n\ncase 7\nseed x7\n";
-        let mut r = FramedReader::new("soak reproducer", text, "merchsoak", &[1]).unwrap();
+        let text = "# comment\nmerchscenario 1\n\ncase 7\nseed x7\n";
+        let mut r = FramedReader::new("scenario", text, "merchscenario", &[1]).unwrap();
         let c = r.record("case", 1).unwrap();
         assert_eq!(c.line_no, 4);
-        assert_eq!(c.u64(0, "case").unwrap(), 7);
+        assert_eq!(c.parse::<u64>(0, "case").unwrap(), 7);
         let s = r.record("seed", 1).unwrap();
-        let err = s.u64(0, "seed").unwrap_err();
+        let err = s.parse::<u64>(0, "seed").unwrap_err();
         assert!(
             err.contains("line 5") && err.contains("`seed`") && err.contains("`x7`"),
             "{err}"
@@ -329,15 +274,15 @@ mod tests {
 
     #[test]
     fn wrong_tag_and_arity_diagnosed() {
-        let text = "merchsoak 1\nfaulty 1 2\n";
-        let mut r = FramedReader::new("soak reproducer", text, "merchsoak", &[1]).unwrap();
+        let text = "merchscenario 1\nfaulty 1 2\n";
+        let mut r = FramedReader::new("scenario", text, "merchscenario", &[1]).unwrap();
         let err = r.record("faults", 7).unwrap_err();
         assert!(
             err.contains("line 2") && err.contains("expected `faults`") && err.contains("`faulty`"),
             "{err}"
         );
-        let text = "merchsoak 1\nfaults 1 2\n";
-        let mut r = FramedReader::new("soak reproducer", text, "merchsoak", &[1]).unwrap();
+        let text = "merchscenario 1\nfaults 1 2\n";
+        let mut r = FramedReader::new("scenario", text, "merchscenario", &[1]).unwrap();
         let err = r.record("faults", 7).unwrap_err();
         assert!(err.contains("needs 7 field(s), has 2"), "{err}");
     }
