@@ -632,6 +632,15 @@ fn run_suite(
     let outcomes = scenario::run_all(scenarios, model);
     let shout = suite.name().to_uppercase();
     for o in &outcomes {
+        if o.skipped() {
+            let label = &o.scenario.label;
+            writeln!(
+                out,
+                "# {shout} NOT RUN [{label}]: the sweep aborted on a panic"
+            )
+            .unwrap();
+            continue;
+        }
         write_outcome(out, o);
         for v in &o.violations {
             writeln!(out, "# {shout} VIOLATION [{}]: {v}", o.scenario.label).unwrap();

@@ -26,6 +26,10 @@ use std::sync::Mutex;
 /// 0 = auto (one worker per available core).
 static SWEEP_JOBS: AtomicUsize = AtomicUsize::new(0);
 
+/// Serialises tests that mutate the process-global `SWEEP_JOBS`.
+#[cfg(test)]
+pub(crate) static JOBS_LOCK: Mutex<()> = Mutex::new(());
+
 /// Override the sweep worker count (`repro --jobs N`). `0` restores the
 /// auto setting; `1` forces a sequential sweep.
 pub fn set_sweep_jobs(n: usize) {
@@ -181,9 +185,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Serialises tests that mutate the process-global `SWEEP_JOBS`.
-    static JOBS_LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn preserves_input_order() {

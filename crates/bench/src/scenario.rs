@@ -1339,25 +1339,43 @@ fn run(scn: &Scenario, model: &PerformanceModel) -> Outcome {
     }
 }
 
-/// Run scenarios on the sweep pool, outcomes in input order. A cell that
-/// panics becomes a `no_harness_panic` violation; cells the aborted sweep
-/// never finished are dropped.
-pub fn run_all(scns: Vec<Scenario>, model: &PerformanceModel) -> Vec<Outcome> {
-    match try_par_map(scns.clone(), |s| run(&s, model)) {
-        Ok(done) => done,
-        Err((partial, abort)) => (partial.into_iter().zip(scns).enumerate())
-            .filter_map(|(i, (done, scenario))| {
-                done.or_else(|| {
-                    (i == abort.cell).then(|| Outcome {
-                        scenario,
-                        solo: None,
-                        service: None,
-                        violations: vec![violation("no_harness_panic", abort.message.clone())],
-                    })
-                })
-            })
-            .collect(),
+impl Outcome {
+    /// Whether the scenario never ran because an earlier cell's panic
+    /// aborted the sweep: no leg result and no violation.
+    pub fn skipped(&self) -> bool {
+        self.solo.is_none() && self.service.is_none() && self.violations.is_empty()
     }
+}
+
+/// Run scenarios on the sweep pool, one outcome per scenario in input
+/// order.
+pub fn run_all(scns: Vec<Scenario>, model: &PerformanceModel) -> Vec<Outcome> {
+    run_cells(scns, |s| run(s, model))
+}
+
+/// [`run_all`] over an arbitrary per-scenario run. A cell that panics
+/// becomes a `no_harness_panic` violation; a cell the aborted sweep never
+/// finished comes back [`skipped`](Outcome::skipped).
+fn run_cells(scns: Vec<Scenario>, run_one: impl Fn(&Scenario) -> Outcome + Sync) -> Vec<Outcome> {
+    let (mut partial, abort) = match try_par_map(scns.clone(), |s| run_one(&s)) {
+        Ok(done) => return done,
+        Err(failed) => failed,
+    };
+    // A sequential sweep returns only the cells before the panic.
+    partial.resize_with(scns.len(), || None);
+    (partial.into_iter().zip(scns).enumerate())
+        .map(|(i, (done, scenario))| {
+            done.unwrap_or_else(|| Outcome {
+                scenario,
+                solo: None,
+                service: None,
+                violations: (i == abort.cell)
+                    .then(|| violation("no_harness_panic", abort.message.clone()))
+                    .into_iter()
+                    .collect(),
+            })
+        })
+        .collect()
 }
 
 /// Shrink a scenario's solo leg against `fails` (true = still fails):
@@ -1418,16 +1436,31 @@ fn shrink(scn: &Scenario, fails: impl Fn(&Scenario) -> bool) -> Scenario {
 }
 
 /// The reproducer file of a failing outcome: its violations as comments,
-/// then the scenario with its solo leg shrunk to what still fails (a panic
-/// counts as failing, so the file survives harness bugs too).
+/// then the scenario. When the solo leg fails on its own (a panic counts as
+/// failing, so the file survives harness bugs too), that leg is shrunk to
+/// what still fails; a failure in the service leg alone leaves the
+/// scenario whole, since no solo axis can affect it.
 pub fn reproducer(outcome: &Outcome, model: &PerformanceModel) -> String {
-    let fails = |s: &Scenario| {
-        catch_unwind(AssertUnwindSafe(|| !run(s, model).violations.is_empty())).unwrap_or(true)
+    let solo_fails = |s: &Scenario| {
+        catch_unwind(AssertUnwindSafe(|| {
+            let mut v = Vec::new();
+            if let Some(solo) = &s.solo {
+                run_solo(solo, model, &mut v);
+            }
+            !v.is_empty()
+        }))
+        .unwrap_or(true)
     };
+    let scn = &outcome.scenario;
     let mut text: String = (outcome.violations.iter())
-        .map(|v| format!("# violation [{}]: {v}\n", outcome.scenario.label))
+        .map(|v| format!("# violation [{}]: {v}\n", scn.label))
         .collect();
-    text.push_str(&shrink(&outcome.scenario, fails).encode());
+    let shrunk = if solo_fails(scn) {
+        shrink(scn, solo_fails)
+    } else {
+        scn.clone()
+    };
+    text.push_str(&shrunk.encode());
     text
 }
 
@@ -1517,16 +1550,17 @@ impl Scenario {
     }
 
     /// Parse a file written by [`encode`](Self::encode). `#` comments and
-    /// blank lines are skipped. Malformed files and out-of-range values
-    /// (a plan that does not validate, an invalid tenant contract, a page
-    /// count whose byte size overflows) fail with a line/field diagnostic.
+    /// blank lines are skipped. Malformed files, out-of-range values (a
+    /// plan that does not validate, an invalid tenant contract, a page
+    /// count whose byte size overflows) and legs the named suite never
+    /// generates fail with a line/field diagnostic.
     pub fn decode(text: &str) -> Result<Self, String> {
         let mut r = FramedReader::new("scenario", text, "merchscenario", &[1])?;
         let suites = Suite::ALL.map(|s| (s.name(), s));
         let suite = lookup(&r.record("suite", 1)?, 0, "suite", suites)?;
         let label = r.record("label", 1)?.tok(0, "label")?.to_string();
-        let solo = decode_solo(&mut r)?;
-        let service = decode_service(&mut r)?;
+        let solo = decode_solo(&mut r, suite)?;
+        let service = decode_service(&mut r, suite)?;
         r.finish()?;
         Ok(Self {
             suite,
@@ -1561,9 +1595,34 @@ fn page_bytes(rec: &Record<'_>, pages: u64, field: &str) -> Result<u64, String> 
         .ok_or_else(|| rec.invalid(field, format!("{pages} pages overflow a byte count")))
 }
 
-fn decode_solo(r: &mut FramedReader<'_>) -> Result<Option<Solo>, String> {
+/// Reject a part (`tag`) that a `suite` scenario never has, or the lack of
+/// one it always has: the suite's gates for it would silently not run.
+fn expect_part(
+    rec: &Record<'_>,
+    suite: Suite,
+    tag: &str,
+    present: bool,
+    wanted: bool,
+) -> Result<(), String> {
+    if present == wanted {
+        return Ok(());
+    }
+    let verb = if wanted { "cannot" } else { "must" };
+    let name = suite.name();
+    Err(rec.invalid(tag, format!("a `{name}` scenario {verb} have `{tag} none`")))
+}
+
+fn decode_solo(r: &mut FramedReader<'_>, suite: Suite) -> Result<Option<Solo>, String> {
     let s = r.record("solo", 1)?;
-    if s.tok(0, "app")? == "none" {
+    let present = s.tok(0, "app")? != "none";
+    expect_part(
+        &s,
+        suite,
+        "solo",
+        present,
+        matches!(suite, Suite::Soak | Suite::Device),
+    )?;
+    if !present {
         return Ok(None);
     }
     let app = lookup(&s, 0, "app", apps())?;
@@ -1613,9 +1672,11 @@ fn decode_solo(r: &mut FramedReader<'_>) -> Result<Option<Solo>, String> {
     }))
 }
 
-fn decode_service(r: &mut FramedReader<'_>) -> Result<Option<Service>, String> {
+fn decode_service(r: &mut FramedReader<'_>, suite: Suite) -> Result<Option<Service>, String> {
     let s = r.record("service", 1)?;
-    if s.tok(0, "seed")? == "none" {
+    let present = s.tok(0, "seed")? != "none";
+    expect_part(&s, suite, "service", present, suite != Suite::Soak)?;
+    if !present {
         return Ok(None);
     }
     let seed = s.parse(0, "seed")?;
@@ -1631,6 +1692,13 @@ fn decode_service(r: &mut FramedReader<'_>) -> Result<Option<Service>, String> {
             Some((pages, o.parse(1, "after_steps")?))
         }
     };
+    expect_part(
+        &o,
+        suite,
+        "offline",
+        offline.is_some(),
+        suite == Suite::Device,
+    )?;
     let v = r.record("victim", 1)?;
     let victim = match v.tok(0, "victim")? {
         "none" => None,
@@ -1648,6 +1716,13 @@ fn decode_service(r: &mut FramedReader<'_>) -> Result<Option<Service>, String> {
             Some((v.parse(0, "victim")?, fault))
         }
     };
+    expect_part(
+        &v,
+        suite,
+        "victim",
+        victim.is_some(),
+        suite == Suite::Contain,
+    )?;
     // The count is untrusted: no pre-reservation, so a huge value fails on
     // the first missing `tenant` record instead of aborting.
     let n: u64 = r.record("tenants", 1)?.parse(0, "tenants")?;
@@ -1750,39 +1825,101 @@ mod tests {
         out
     }
 
+    /// fnv1a64 of `product_inputs` per (suite, seed, small), pinned when
+    /// the four harnesses became one engine: the engine draws exactly the
+    /// cases they drew.
+    const GOLDEN: [(Suite, u64, bool, u64); 16] = [
+        (Suite::Soak, 42, true, 0x02e7_07b1_dd8c_05c3),
+        (Suite::Serve, 42, true, 0x1ad6_7a99_f6e3_90f9),
+        (Suite::Device, 42, true, 0x2566_4aa6_8b9d_bb14),
+        (Suite::Contain, 42, true, 0x4676_e5f2_5880_348c),
+        (Suite::Soak, 42, false, 0x7182_c62b_a23a_57d7),
+        (Suite::Serve, 42, false, 0x2bf4_470c_d07d_0b93),
+        (Suite::Device, 42, false, 0x4de0_c5ec_0e48_3e4d),
+        (Suite::Contain, 42, false, 0xc527_3c4e_023c_2199),
+        (Suite::Soak, 7, true, 0x3c3f_98e5_5427_7cad),
+        (Suite::Serve, 7, true, 0xb150_cde1_0358_560c),
+        (Suite::Device, 7, true, 0x34d5_49f4_511a_693f),
+        (Suite::Contain, 7, true, 0x6a9c_a327_592f_5777),
+        (Suite::Soak, 7, false, 0x8810_44c4_4a00_6de4),
+        (Suite::Serve, 7, false, 0x4534_7c2a_2cef_998e),
+        (Suite::Device, 7, false, 0x560f_c445_f43a_9ed1),
+        (Suite::Contain, 7, false, 0x18c2_234e_2a6e_8252),
+    ];
+
+    fn assert_golden(scns: &[Scenario], (suite, seed, small, want): (Suite, u64, bool, u64)) {
+        let got = merch_hm::checkpoint::fnv1a64(product_inputs(scns).as_bytes());
+        assert_eq!(
+            got, want,
+            "{suite:?} seed {seed} small {small}: {got:#018x}"
+        );
+    }
+
+    /// The CI-sized seed-7 hashes, over the shared sweep, in every build.
+    #[test]
+    fn ci_sweep_matches_golden_hashes() {
+        for golden @ (suite, ..) in GOLDEN.into_iter().filter(|g| (g.1, g.2) == (7, true)) {
+            let scns: Vec<Scenario> = (sweep().iter())
+                .filter(|s| s.suite == suite)
+                .cloned()
+                .collect();
+            assert_golden(&scns, golden);
+        }
+    }
+
     #[test]
     #[cfg_attr(
         debug_assertions,
-        ignore = "generates every full sweep (~240 app builds); run with --release"
+        ignore = "generates every other sweep (~240 app builds); run with --release"
     )]
     fn generation_matches_golden_hashes() {
-        // fnv1a64 of `product_inputs`, pinned when the four harnesses
-        // became one engine: the engine draws exactly the cases they drew.
-        let golden = [
-            (Suite::Soak, 42, true, 0x02e7_07b1_dd8c_05c3),
-            (Suite::Serve, 42, true, 0x1ad6_7a99_f6e3_90f9),
-            (Suite::Device, 42, true, 0x2566_4aa6_8b9d_bb14),
-            (Suite::Contain, 42, true, 0x4676_e5f2_5880_348c),
-            (Suite::Soak, 42, false, 0x7182_c62b_a23a_57d7),
-            (Suite::Serve, 42, false, 0x2bf4_470c_d07d_0b93),
-            (Suite::Device, 42, false, 0x4de0_c5ec_0e48_3e4d),
-            (Suite::Contain, 42, false, 0xc527_3c4e_023c_2199),
-            (Suite::Soak, 7, true, 0x3c3f_98e5_5427_7cad),
-            (Suite::Serve, 7, true, 0xb150_cde1_0358_560c),
-            (Suite::Device, 7, true, 0x34d5_49f4_511a_693f),
-            (Suite::Contain, 7, true, 0x6a9c_a327_592f_5777),
-            (Suite::Soak, 7, false, 0x8810_44c4_4a00_6de4),
-            (Suite::Serve, 7, false, 0x4534_7c2a_2cef_998e),
-            (Suite::Device, 7, false, 0x560f_c445_f43a_9ed1),
-            (Suite::Contain, 7, false, 0x18c2_234e_2a6e_8252),
-        ];
-        for (suite, seed, small, want) in golden {
-            let inputs = product_inputs(&suite.generate(seed, small));
-            let got = merch_hm::checkpoint::fnv1a64(inputs.as_bytes());
-            assert_eq!(
-                got, want,
-                "{suite:?} seed {seed} small {small}: {got:#018x}"
+        for golden @ (suite, seed, small, _) in GOLDEN {
+            if (seed, small) != (7, true) {
+                assert_golden(&suite.generate(seed, small), golden);
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_cell_is_a_violation_at_any_jobs() {
+        let _g = crate::par::JOBS_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        let scns: Vec<Scenario> = (sweep().iter())
+            .filter(|s| s.suite == Suite::Soak)
+            .cloned()
+            .collect();
+        let fake = |s: &Scenario| {
+            if s.label == "2" {
+                panic!("scripted harness bug");
+            }
+            Outcome {
+                scenario: s.clone(),
+                solo: None,
+                service: None,
+                violations: vec![violation("ran", String::new())],
+            }
+        };
+        for jobs in [1, 3] {
+            crate::par::set_sweep_jobs(jobs);
+            let out = run_cells(scns.clone(), fake);
+            crate::par::set_sweep_jobs(0);
+            let labels: Vec<&str> = out.iter().map(|o| o.scenario.label.as_str()).collect();
+            assert_eq!(labels, ["0", "1", "2", "3", "4", "5"], "jobs {jobs}");
+            let panic = &out[2].violations;
+            assert_eq!(panic.len(), 1, "jobs {jobs}");
+            assert_eq!(panic[0].invariant, "no_harness_panic", "jobs {jobs}");
+            assert!(
+                panic[0].detail.contains("scripted harness bug"),
+                "{panic:?}"
             );
+            for o in out.iter().filter(|o| o.scenario.label != "2") {
+                assert!(o.skipped() || o.violations[0].invariant == "ran");
+            }
+            if jobs == 1 {
+                assert!(!out[0].skipped() && !out[1].skipped());
+                assert!(out[3..].iter().all(Outcome::skipped));
+            }
         }
     }
 
@@ -1859,6 +1996,8 @@ mod tests {
         let tier = format!(" {:?} ", device.solo.as_ref().unwrap().plan.degrade_tier);
         let contain = first(Suite::Contain);
         let victim = contain.service.as_ref().unwrap().victim.unwrap().0;
+        let serve = first(Suite::Serve);
+        let (pages, after) = device.service.as_ref().unwrap().offline.unwrap();
         let huge = |n: u64| {
             format!(
                 "merchscenario 1\nsuite serve\nlabel x\nsolo none\nservice 1 10 4\n\
@@ -1897,6 +2036,39 @@ mod tests {
             ),
             (huge(u64::MAX), "missing `tenant` record"),
             (huge(100_000_000_000), "missing `tenant` record"),
+            // Legs the named suite never generates: its gates would not run.
+            (
+                replaced(soak, "suite soak", "suite contain"),
+                "a `contain` scenario must have `solo none`",
+            ),
+            (
+                replaced(serve, "suite serve", "suite device"),
+                "a `device` scenario cannot have `solo none`",
+            ),
+            (
+                replaced(device, "suite device", "suite soak"),
+                "a `soak` scenario must have `service none`",
+            ),
+            (
+                replaced(soak, "suite soak", "suite device"),
+                "a `device` scenario cannot have `service none`",
+            ),
+            (
+                replaced(serve, "offline none", "offline 1 1"),
+                "a `serve` scenario must have `offline none`",
+            ),
+            (
+                replaced(device, &format!("offline {pages} {after}"), "offline none"),
+                "a `device` scenario cannot have `offline none`",
+            ),
+            (
+                replaced(contain, "suite contain", "suite serve"),
+                "a `serve` scenario must have `victim none`",
+            ),
+            (
+                replaced(serve, "suite serve", "suite contain"),
+                "a `contain` scenario cannot have `victim none`",
+            ),
         ];
         for (text, want) in cases {
             let err = Scenario::decode(&text).unwrap_err();
