@@ -8,10 +8,13 @@
 //! line it came from, and typed accessors name the field, so a malformed
 //! or version-mismatched file fails with `line 4, field `seed`: bad
 //! value `x7`` instead of a generic parse error. A recognized magic with
-//! an unsupported version is rejected with the dedicated
-//! [`ReplayError::UnsupportedVersion`], which carries the observed and
-//! supported versions as data — callers can tell "you need a newer build"
+//! a version other than [`SCENARIO_VERSION`] is rejected with the
+//! dedicated [`ReplayError::UnsupportedVersion`], which carries the
+//! observed version as data — callers can tell "you need a newer build"
 //! apart from "this file is garbage" without parsing prose.
+
+/// The one reproducer format version this build reads and writes.
+pub const SCENARIO_VERSION: u32 = 1;
 
 /// Why a replayable artifact failed to open.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,8 +33,6 @@ pub enum ReplayError {
         line_no: usize,
         /// The version the file declared.
         observed: u32,
-        /// Versions this build reads.
-        supported: Vec<u32>,
     },
 }
 
@@ -44,19 +45,11 @@ impl std::fmt::Display for ReplayError {
                 magic,
                 line_no,
                 observed,
-                supported,
-            } => {
-                let reads = supported
-                    .iter()
-                    .map(|v| v.to_string())
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                write!(
-                    f,
-                    "{kind} line {line_no}: unsupported {magic} version {observed} \
-                     (this build reads {reads})"
-                )
-            }
+            } => write!(
+                f,
+                "{kind} line {line_no}: unsupported {magic} version {observed} \
+                 (this build reads {SCENARIO_VERSION})"
+            ),
         }
     }
 }
@@ -112,15 +105,9 @@ pub struct FramedReader<'a> {
 }
 
 impl<'a> FramedReader<'a> {
-    /// Open `text`, checking the `magic version` header. `supported` lists
-    /// the versions this build reads. A wrong magic names what was found
-    /// instead.
-    pub fn new(
-        kind: &'static str,
-        text: &'a str,
-        magic: &str,
-        supported: &[u32],
-    ) -> Result<Self, ReplayError> {
+    /// Open `text`, checking the `magic version` header against
+    /// [`SCENARIO_VERSION`]. A wrong magic names what was found instead.
+    pub fn new(kind: &'static str, text: &'a str, magic: &str) -> Result<Self, ReplayError> {
         let lines: Vec<(usize, &'a str)> = text
             .lines()
             .enumerate()
@@ -149,13 +136,12 @@ impl<'a> FramedReader<'a> {
                 "{kind} line {line_no}: bad version `{vtok}` in `{magic}` header"
             ))
         })?;
-        if !supported.contains(&version) {
+        if version != SCENARIO_VERSION {
             return Err(ReplayError::UnsupportedVersion {
                 kind,
                 magic: magic.to_string(),
                 line_no,
                 observed: version,
-                supported: supported.to_vec(),
             });
         }
         let mut it = lines.into_iter();
@@ -215,7 +201,7 @@ mod tests {
 
     #[test]
     fn header_checks_name_the_line() {
-        let open = |text| FramedReader::new("scenario", text, "merchscenario", &[1]);
+        let open = |text| FramedReader::new("scenario", text, "merchscenario");
         let err = open("").unwrap_err().to_string();
         assert!(err.contains("empty file"), "{err}");
         let err = open("merchckpt 1\n").unwrap_err().to_string();
@@ -231,8 +217,8 @@ mod tests {
     }
 
     #[test]
-    fn unsupported_version_is_typed_with_observed_and_supported() {
-        let open = |text| FramedReader::new("scenario", text, "merchscenario", &[1, 2]);
+    fn unsupported_version_is_typed_with_observed() {
+        let open = |text| FramedReader::new("scenario", text, "merchscenario");
         let err = open("merchscenario 9\n").unwrap_err();
         assert_eq!(
             err,
@@ -241,12 +227,11 @@ mod tests {
                 magic: "merchscenario".to_string(),
                 line_no: 1,
                 observed: 9,
-                supported: vec![1, 2],
             }
         );
         let prose = String::from(err);
         assert!(
-            prose.contains("unsupported merchscenario version 9") && prose.contains("reads 1, 2"),
+            prose.contains("unsupported merchscenario version 9") && prose.contains("reads 1"),
             "{prose}"
         );
         // A wrong magic is Malformed, not UnsupportedVersion: the file is
@@ -258,7 +243,7 @@ mod tests {
     #[test]
     fn records_report_line_and_field() {
         let text = "# comment\nmerchscenario 1\n\ncase 7\nseed x7\n";
-        let mut r = FramedReader::new("scenario", text, "merchscenario", &[1]).unwrap();
+        let mut r = FramedReader::new("scenario", text, "merchscenario").unwrap();
         let c = r.record("case", 1).unwrap();
         assert_eq!(c.line_no, 4);
         assert_eq!(c.parse::<u64>(0, "case").unwrap(), 7);
@@ -275,14 +260,14 @@ mod tests {
     #[test]
     fn wrong_tag_and_arity_diagnosed() {
         let text = "merchscenario 1\nfaulty 1 2\n";
-        let mut r = FramedReader::new("scenario", text, "merchscenario", &[1]).unwrap();
+        let mut r = FramedReader::new("scenario", text, "merchscenario").unwrap();
         let err = r.record("faults", 7).unwrap_err();
         assert!(
             err.contains("line 2") && err.contains("expected `faults`") && err.contains("`faulty`"),
             "{err}"
         );
         let text = "merchscenario 1\nfaults 1 2\n";
-        let mut r = FramedReader::new("scenario", text, "merchscenario", &[1]).unwrap();
+        let mut r = FramedReader::new("scenario", text, "merchscenario").unwrap();
         let err = r.record("faults", 7).unwrap_err();
         assert!(err.contains("needs 7 field(s), has 2"), "{err}");
     }

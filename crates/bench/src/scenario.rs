@@ -58,7 +58,7 @@ use merchandiser::PerformanceModel;
 
 use crate::experiments::{executor, parts, AppKind, PolicyKind};
 use crate::par::{par_map, try_par_map};
-use crate::replay::{FramedReader, Record};
+use crate::replay::{FramedReader, Record, SCENARIO_VERSION};
 
 /// splitmix64 finalizer: the seeded-draw idiom behind every generator.
 fn mix64(mut z: u64) -> u64 {
@@ -1481,7 +1481,7 @@ impl Scenario {
     /// Serialize as a `merchscenario 1` file.
     pub fn encode(&self) -> String {
         let mut lines = vec![
-            "merchscenario 1".to_string(),
+            format!("merchscenario {SCENARIO_VERSION}"),
             format!("suite {}", self.suite.name()),
             format!("label {}", self.label),
         ];
@@ -1555,7 +1555,7 @@ impl Scenario {
     /// count whose byte size overflows) and legs the named suite never
     /// generates fail with a line/field diagnostic.
     pub fn decode(text: &str) -> Result<Self, String> {
-        let mut r = FramedReader::new("scenario", text, "merchscenario", &[1])?;
+        let mut r = FramedReader::new("scenario", text, "merchscenario")?;
         let suites = Suite::ALL.map(|s| (s.name(), s));
         let suite = lookup(&r.record("suite", 1)?, 0, "suite", suites)?;
         let label = r.record("label", 1)?.tok(0, "label")?.to_string();
@@ -2073,6 +2073,47 @@ mod tests {
         for (text, want) in cases {
             let err = Scenario::decode(&text).unwrap_err();
             assert!(err.contains(want), "want {want:?} in {err:?}");
+        }
+    }
+
+    /// `text` mutated by `how`: 0 flips byte `at` by `mask`, 1 truncates
+    /// at `at`, 2 / 3 set numeric token `at` to `u64::MAX` / `2^40`.
+    fn mutate(text: &str, how: u8, at: usize, mask: u8) -> String {
+        let mut bytes = text.as_bytes().to_vec();
+        match how {
+            0 => bytes[at % text.len()] ^= mask | 1,
+            1 => bytes.truncate(at % (text.len() + 1)),
+            _ => {
+                let mut pieces: Vec<&str> = text.split_inclusive(char::is_whitespace).collect();
+                let numeric: Vec<usize> = (0..pieces.len())
+                    .filter(|&i| pieces[i].trim_end().parse::<u64>().is_ok())
+                    .collect();
+                let k = numeric[at % numeric.len()];
+                let ws = &pieces[k][pieces[k].trim_end().len()..];
+                let huge = format!("{}{ws}", [u64::MAX, 1 << 40][usize::from(how - 2)]);
+                pieces[k] = &huge;
+                return pieces.concat();
+            }
+        }
+        String::from_utf8_lossy(&bytes).into_owned()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// `Scenario::decode` is total: arbitrary bytes and mutated valid
+        /// files yield a scenario or a diagnostic, never a panic.
+        #[test]
+        fn decode_is_total(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..1024),
+            pick in proptest::prelude::any::<usize>(),
+            how in 0u8..4,
+            at in proptest::prelude::any::<usize>(),
+            mask in proptest::prelude::any::<u8>(),
+        ) {
+            let _ = Scenario::decode(&String::from_utf8_lossy(&bytes));
+            let text = sweep()[pick % sweep().len()].encode();
+            let _ = Scenario::decode(&mutate(&text, how, at, mask));
         }
     }
 

@@ -778,7 +778,7 @@ impl MerchandiserPolicy {
         use merch_profiling::pmc::NUM_EVENTS;
         let t = r.line("task", 2)?;
         let nobj = p_usize(t[1])?;
-        let mut objects = Vec::with_capacity(nobj);
+        let mut objects = Vec::new();
         for _ in 0..nobj {
             let t = r.line("obj", 2)?;
             objects.push((ObjectId(p_u32(t[0])?), unesc(t[1])?));
@@ -1264,14 +1264,15 @@ impl PlacementPolicy for MerchandiserPolicy {
         }
         let t = r.line("predlog", 1)?;
         let n = p_usize(t[0])?;
-        let mut prediction_log = Vec::with_capacity(n);
+        let mut prediction_log = Vec::new();
         for _ in 0..n {
             let t = r.line("pred", 2)?;
             let (round, k) = (p_usize(t[0])?, p_usize(t[1])?);
-            if t.len() < 2 + k {
-                return Err(corrupt("truncated prediction entry"));
-            }
-            let preds = t[2..2 + k]
+            let end = k
+                .checked_add(2)
+                .filter(|&end| end <= t.len())
+                .ok_or_else(|| corrupt("truncated prediction entry"))?;
+            let preds = t[2..end]
                 .iter()
                 .map(|s| p_f64(s))
                 .collect::<Result<Vec<_>, _>>()?;
@@ -1315,16 +1316,17 @@ impl PlacementPolicy for MerchandiserPolicy {
         let sentinel = DriftSentinel::decode_state(&mut r)?;
         let t = r.line("pending", 1)?;
         let np = p_usize(t[0])?;
-        if t.len() < 1 + np {
-            return Err(corrupt("truncated pending-recollect list"));
-        }
-        let pending_recollect: BTreeSet<usize> = t[1..1 + np]
+        let end = np
+            .checked_add(1)
+            .filter(|&end| end <= t.len())
+            .ok_or_else(|| corrupt("truncated pending-recollect list"))?;
+        let pending_recollect: BTreeSet<usize> = t[1..end]
             .iter()
             .map(|s| p_usize(s))
             .collect::<Result<_, _>>()?;
         let t = r.line("tasks", 1)?;
         let n = p_usize(t[0])?;
-        let mut state = Vec::with_capacity(n);
+        let mut state = Vec::new();
         for _ in 0..n {
             state.push(Self::decode_task(&mut r)?);
         }

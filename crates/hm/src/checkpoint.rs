@@ -43,28 +43,13 @@ use crate::runtime::{RoundReport, TaskResult};
 use crate::system::{HmError, HmSystem};
 use crate::telemetry::BandwidthTimeline;
 
-/// Version of the checkpoint payload format this build reads and writes.
-/// Version 2 added the transactional-epoch counters (`syscounters` gained
-/// commit/rollback totals, `round` lines gained per-round counts).
-/// Version 3 added the `dramquota` line (per-tenant service quotas survive
-/// checkpoint/restore).
-/// Version 4 added the device fault domain: the `offlined` line and the
-/// `quarantine` page set, plus the widened `faultplan` / `faultstats`
-/// lines (poisoning, degradation windows, capacity offlining).
-/// Version 5 replaced the per-page `pages` / `p` section with the extent
-/// framing `extents <runs> <pages>` + one `x` line per run (run starts are
-/// implicit in page order), matching the run-length page engine.
-/// Version 6 added the tenant fault-containment domain: the `breaker` line
-/// (circuit-breaker frame — strikes, window cursor, attempt counter,
-/// open-until step, probe budget, trip count — directly after `cursor`),
-/// the `panic` / `stall` crash specs on `faultplan`, and two appended
-/// tenant-fault counters on `faultstats`.
-///
-/// Decoding accepts every version `1 ..= CHECKPOINT_VERSION`; encoding
-/// always writes the current version. One back-compat caveat: a v1–v3
-/// payload whose fault injector was *armed* (`fault 1`) predates the v4
-/// widened `faultplan` / `faultstats` lines and does not decode;
-/// `fault 0` payloads of every version decode.
+/// Version of the checkpoint payload format, the only one this build
+/// reads and writes. Version 6 frames the page table as extents
+/// (`extents <runs> <pages>` + one `x` line per run, starts implicit in
+/// page order) and carries the transactional-epoch counters, the
+/// per-tenant `dramquota`, the device fault domain (`offlined`,
+/// `quarantine`), and the tenant circuit-breaker frame (`breaker`,
+/// directly after `cursor`). Any other version is rejected.
 pub const CHECKPOINT_VERSION: u32 = 6;
 
 /// Retries after a failed WAL write attempt before the checkpoint is
@@ -336,30 +321,23 @@ impl Checkpoint {
         let mut r = Reader::new(text);
         let t = r.line("merchckpt", 1)?;
         let version = p_u32(t[0])?;
-        if version == 0 || version > CHECKPOINT_VERSION {
+        if version != CHECKPOINT_VERSION {
             return Err(HmError::CheckpointCorrupt(format!(
-                "unsupported checkpoint version {version} (this build reads 1..={CHECKPOINT_VERSION})"
+                "unsupported checkpoint version {version} (this build reads {CHECKPOINT_VERSION})"
             )));
         }
         let t = r.line("cursor", 2)?;
         let (next_round, blackout_cursor) = (p_usize(t[0])?, p_usize(t[1])?);
-        let breaker = if version >= 6 {
-            BreakerFrame::decode(&mut r)?
-        } else {
-            BreakerFrame::default()
-        };
-        let sys = HmSystem::decode_state_versioned(&mut r, version)?;
+        let breaker = BreakerFrame::decode(&mut r)?;
+        let sys = HmSystem::decode_state(&mut r)?;
         let timeline = BandwidthTimeline::decode_state(&mut r)?;
         let t = r.line("completed", 1)?;
         let n_rounds = p_usize(t[0])?;
-        // v1 round lines predate the per-round epoch counters: 10 tokens,
-        // with migration_ns / round_time_ns / n_tasks shifted down two.
-        let round_tokens = if version >= 2 { 12 } else { 10 };
-        let mut completed = Vec::with_capacity(n_rounds);
+        let mut completed = Vec::new();
         for _ in 0..n_rounds {
-            let t = r.line("round", round_tokens)?;
-            let n_tasks = p_usize(t[round_tokens - 1])?;
-            let mut tasks = Vec::with_capacity(n_tasks);
+            let t = r.line("round", 12)?;
+            let n_tasks = p_usize(t[11])?;
+            let mut tasks = Vec::new();
             for _ in 0..n_tasks {
                 let tt = r.line("task", 8)?;
                 tasks.push(TaskResult {
@@ -375,11 +353,6 @@ impl Checkpoint {
                     },
                 });
             }
-            let (epoch_commits, epoch_rollbacks) = if version >= 2 {
-                (p_u64(t[7])?, p_u64(t[8])?)
-            } else {
-                (0, 0)
-            };
             completed.push(RoundReport {
                 round: p_usize(t[0])?,
                 tasks,
@@ -389,10 +362,10 @@ impl Checkpoint {
                 degraded: p_bool(t[4])?,
                 straggler_events: p_u64(t[5])?,
                 watchdog_pages: p_u64(t[6])?,
-                epoch_commits,
-                epoch_rollbacks,
-                migration_ns: p_f64(t[round_tokens - 3])?,
-                round_time_ns: p_f64(t[round_tokens - 2])?,
+                epoch_commits: p_u64(t[7])?,
+                epoch_rollbacks: p_u64(t[8])?,
+                migration_ns: p_f64(t[9])?,
+                round_time_ns: p_f64(t[10])?,
             });
         }
         let t = r.line("policy", 1)?;
@@ -547,13 +520,14 @@ impl Wal {
     /// [`Warning`](crate::telemetry::Warning) when recovery had to drop a
     /// torn or garbled tail — the round the surviving checkpoint resumes
     /// at and how many bytes were discarded, instead of silent truncation.
-    /// Mid-file records that merely fail their checksum or decode are
-    /// skipped (the scan continues) and are not tail drops.
+    /// Mid-file records that merely fail their checksum, UTF-8 check or
+    /// decode are skipped (the scan continues) and are not tail drops.
+    /// Frames are found on raw bytes, so no input can panic the scan.
     pub fn latest_with_warning(
         path: impl AsRef<Path>,
     ) -> Result<(Option<Checkpoint>, Option<crate::telemetry::Warning>), HmError> {
         let path = path.as_ref();
-        let data = match std::fs::read_to_string(path) {
+        let data = match std::fs::read(path) {
             Ok(d) => d,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((None, None)),
             Err(e) => {
@@ -565,9 +539,9 @@ impl Wal {
         };
         let mut best = None;
         let mut dropped: Option<(u64, &'static str)> = None;
-        let mut rest = data.as_str();
-        while let Some(nl) = rest.find('\n') {
-            let header = &rest[..nl];
+        let mut rest = data.as_slice();
+        while let Some(nl) = rest.iter().position(|&b| b == b'\n') {
+            let header = std::str::from_utf8(&rest[..nl]).unwrap_or("");
             let after = &rest[nl + 1..];
             let toks: Vec<&str> = header.split_whitespace().collect();
             if toks.len() != 4 || toks[0] != "record" {
@@ -583,13 +557,16 @@ impl Wal {
                 dropped = Some((rest.len() as u64, "truncated payload"));
                 break;
             }
-            let payload = &after[..len];
-            if format!("{:016x}", fnv1a64(payload.as_bytes())) == toks[3] {
-                if let Ok(ck) = Checkpoint::decode(payload) {
+            let (payload, tail) = after.split_at(len);
+            if format!("{:016x}", fnv1a64(payload)) == toks[3] {
+                if let Some(ck) = std::str::from_utf8(payload)
+                    .ok()
+                    .and_then(|text| Checkpoint::decode(text).ok())
+                {
                     best = Some(ck);
                 }
             }
-            rest = &after[len..];
+            rest = tail;
         }
         if dropped.is_none() && !rest.is_empty() {
             // Leftover bytes without even a newline: a torn header.
@@ -610,7 +587,6 @@ impl Wal {
 
 #[cfg(test)]
 mod tests {
-    use std::fmt::Write as _;
     use std::io::Write as _;
 
     use super::*;
@@ -641,7 +617,7 @@ mod tests {
         sys.record_accesses(a, 123.456);
         sys.migrate_object_pages(a, crate::config::Tier::Dram, 2);
         // Device fault state: a poisoned frame and some offlined capacity
-        // must round-trip bit-exact through the v4 payload.
+        // must round-trip bit-exact through the payload.
         sys.poison_page(1);
         sys.offline_dram(2 * PAGE_SIZE);
         let mut timeline = BandwidthTimeline::new(100.0);
@@ -713,97 +689,16 @@ mod tests {
         }
     }
 
-    /// Rewrite a v6 payload into the framing an older build would have
-    /// written: strip the `breaker` line and the appended tenant-fault
-    /// counters (v5), expand `extents`/`x` run lines back to `pages`/`p`
-    /// per-page lines (v4), then progressively strip
-    /// `quarantine`+`offlined` (v3), `dramquota` (v2), and the epoch
-    /// counters in `syscounters` and `round` lines (v1).
-    fn downgrade(text: &str, version: u32) -> String {
-        let mut out = String::new();
-        for line in text.lines() {
-            let toks: Vec<&str> = line.split_whitespace().collect();
-            match toks[0] {
-                "merchckpt" => writeln!(out, "merchckpt {version}").unwrap(),
-                "breaker" if version < 6 => {}
-                "faultstats" if version < 6 => {
-                    writeln!(out, "faultstats {}", toks[1..10].join(" ")).unwrap()
-                }
-                "extents" if version < 5 => writeln!(out, "pages {}", toks[2]).unwrap(),
-                "x" if version < 5 => {
-                    let len: u64 = toks[1].parse().unwrap();
-                    for _ in 0..len {
-                        writeln!(out, "p {}", toks[2..].join(" ")).unwrap();
-                    }
-                }
-                "quarantine" | "offlined" if version < 4 => {}
-                "dramquota" if version < 3 => {}
-                "syscounters" if version < 2 => {
-                    writeln!(out, "syscounters {}", toks[1..5].join(" ")).unwrap()
-                }
-                "round" if version < 2 => {
-                    let mut t = toks[1..].to_vec();
-                    t.remove(7); // epoch_commits
-                    t.remove(7); // epoch_rollbacks
-                    writeln!(out, "round {}", t.join(" ")).unwrap()
-                }
-                _ => writeln!(out, "{line}").unwrap(),
-            }
-        }
-        out
-    }
-
-    #[test]
-    fn legacy_versions_still_decode() {
-        // Fault-free, quarantine-free system: the one shape every legacy
-        // version can represent (v1–v3 fault-armed payloads predate the
-        // v4 fault-line widening and are documented as undecodable).
-        let mut ck = sample_checkpoint();
-        ck.sys = HmSystem::new(HmConfig::calibrated(16 * PAGE_SIZE, 128 * PAGE_SIZE), 7);
-        let a = ck
-            .sys
-            .allocate(
-                &ObjectSpec::new("legacy", 3 * PAGE_SIZE).with_skew(1.1),
-                crate::config::Tier::Pm,
-            )
-            .unwrap();
-        ck.sys.begin_round(1);
-        ck.sys.record_accesses(a, 55.5);
-        ck.sys.migrate_object_pages(a, crate::config::Tier::Dram, 2);
-        let v6 = ck.encode();
-        for version in 1..=5u32 {
-            let legacy = downgrade(&v6, version);
-            let back = Checkpoint::decode(&legacy)
-                .unwrap_or_else(|e| panic!("v{version} payload must decode: {e:?}"));
-            // Page-table state is bit-identical however it was framed.
-            assert_eq!(
-                format!("{:?}", back.sys.page_table()),
-                format!("{:?}", ck.sys.page_table()),
-                "v{version} page table"
-            );
-            assert_eq!(back.next_round, ck.next_round, "v{version} cursor");
-            assert_eq!(back.completed.len(), ck.completed.len());
-            let (r0, o0) = (&back.completed[0], &ck.completed[0]);
-            assert_eq!(r0.migration_pages, o0.migration_pages, "v{version}");
-            assert_eq!(r0.round_time_ns, o0.round_time_ns, "v{version}");
-            // Fields a version predates come back zeroed, not garbled.
-            let want_epochs = if version >= 2 { o0.epoch_commits } else { 0 };
-            assert_eq!(r0.epoch_commits, want_epochs, "v{version} epochs");
-            // Breaker frames predate v6 and come back zeroed.
-            assert_eq!(back.breaker, BreakerFrame::default(), "v{version} breaker");
-            // Re-encoding always upgrades to the current framing.
-            assert!(back.encode().starts_with("merchckpt 6\n"));
-        }
-    }
-
     #[test]
     fn version_mismatch_rejected() {
-        let ck = sample_checkpoint();
-        let text = ck.encode().replacen("merchckpt 6", "merchckpt 99", 1);
-        assert!(matches!(
-            Checkpoint::decode(&text),
-            Err(HmError::CheckpointCorrupt(_))
-        ));
+        let text = sample_checkpoint().encode();
+        for version in [0, 1, 2, 3, 4, 5, 7, 99] {
+            let old = text.replacen("merchckpt 6", &format!("merchckpt {version}"), 1);
+            let Err(HmError::CheckpointCorrupt(msg)) = Checkpoint::decode(&old) else {
+                panic!("merchckpt {version} must be rejected as corrupt");
+            };
+            assert!(msg.contains("this build reads 6"), "{msg}");
+        }
     }
 
     #[test]

@@ -1,42 +1,22 @@
 //! Transactional migration epochs.
 //!
-//! A round's page moves execute inside an *epoch*: every migration first
-//! journals its intent and (on first touch) the page's pre-epoch state into
-//! an undo map. When the epoch ends cleanly the moves commit; when it ends
-//! torn — the scripted crash latched mid-batch, or a `MigrationFailed`
-//! burst abandoned more pages than it moved — the undo map rolls the page
-//! table back to a placement bitwise identical to the pre-epoch snapshot
-//! (aggregates re-flushed, so the O(1) counters stay provably clean).
-//! Physical history is *not* rewound: migration attempts, backoff delay and
-//! fault statistics already happened and stay charged as overhead.
-//!
-//! The intent journal reuses the WAL frame (`record <round> <len>
-//! <fnv1a64-hex>` + payload) so the same tooling that inspects checkpoint
-//! records can inspect epoch journals; see `DESIGN.md` §12.
+//! A round's page moves execute inside an *epoch*: on first touch, every
+//! migration captures the page's pre-epoch state into an undo map. When
+//! the epoch ends cleanly the moves commit; when it ends torn — the
+//! scripted crash latched mid-batch, or a `MigrationFailed` burst abandoned
+//! more pages than it moved — the undo map rolls the page table back to a
+//! placement bitwise identical to the pre-epoch snapshot (aggregates
+//! re-flushed, so the O(1) counters stay provably clean). Physical history
+//! is *not* rewound: migration attempts, backoff delay and fault
+//! statistics already happened and stay charged as overhead. See
+//! `DESIGN.md` §12.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 use serde::{Deserialize, Serialize};
 
-use crate::checkpoint::{corrupt, fnv1a64, p_u32, p_u64, p_usize, Reader};
 use crate::config::Tier;
 use crate::page::PageId;
-use crate::system::HmError;
-
-/// Version of the epoch-journal payload format.
-pub const EPOCH_JOURNAL_VERSION: u32 = 1;
-
-/// One journaled migration intent: move `page` from `from` to `to`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct EpochIntent {
-    /// The page being moved.
-    pub page: PageId,
-    /// Tier the page sat on when the intent was journaled.
-    pub from: Tier,
-    /// Requested destination tier.
-    pub to: Tier,
-}
 
 /// How an epoch ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -50,51 +30,15 @@ pub enum EpochOutcome {
     RolledBack,
 }
 
-impl EpochOutcome {
-    fn token(self) -> &'static str {
-        match self {
-            EpochOutcome::Clean => "clean",
-            EpochOutcome::Committed => "commit",
-            EpochOutcome::RolledBack => "rollback",
-        }
-    }
-
-    fn from_token(tok: &str) -> Result<Self, HmError> {
-        match tok {
-            "clean" => Ok(EpochOutcome::Clean),
-            "commit" => Ok(EpochOutcome::Committed),
-            "rollback" => Ok(EpochOutcome::RolledBack),
-            _ => Err(corrupt("bad epoch outcome token")),
-        }
-    }
-}
-
-fn tier_tag(t: Tier) -> &'static str {
-    match t {
-        Tier::Dram => "D",
-        Tier::Pm => "P",
-    }
-}
-
-fn tier_from_tag(tok: &str) -> Result<Tier, HmError> {
-    match tok {
-        "D" => Ok(Tier::Dram),
-        "P" => Ok(Tier::Pm),
-        _ => Err(corrupt("bad tier tag in epoch journal")),
-    }
-}
-
 /// In-flight epoch state owned by `HmSystem` between `begin_epoch` and
 /// `end_epoch`.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub(crate) struct EpochState {
-    /// Round the epoch belongs to (journal frame sequence number).
+    /// Round the epoch belongs to.
     pub round: u64,
     /// First-touch undo map: page → (tier, migrations counter) before the
     /// epoch touched it. BTreeMap so rollback order is deterministic.
     pub undo: BTreeMap<PageId, (Tier, u32)>,
-    /// Every journaled intent, in order.
-    pub intents: Vec<EpochIntent>,
     /// Pages successfully moved inside the epoch.
     pub pages_moved: u64,
     /// Pages abandoned inside the epoch after exhausting retries.
@@ -109,81 +53,10 @@ impl EpochState {
         }
     }
 
-    /// Journal one intent; on first touch of `page`, capture its undo state.
-    pub fn note_intent(&mut self, page: PageId, from: Tier, to: Tier, migrations: u32) {
+    /// On first touch of `page`, capture its pre-epoch undo state.
+    pub fn note_touch(&mut self, page: PageId, from: Tier, migrations: u32) {
         self.undo.entry(page).or_insert((from, migrations));
-        self.intents.push(EpochIntent { page, from, to });
     }
-
-    /// Render the epoch's intent journal in the WAL frame format.
-    pub fn journal(&self, outcome: EpochOutcome) -> String {
-        let mut payload = String::new();
-        writeln!(
-            payload,
-            "merchepoch {EPOCH_JOURNAL_VERSION} {} {} {}",
-            self.round,
-            outcome.token(),
-            self.intents.len()
-        )
-        .expect("writing to String cannot fail");
-        for i in &self.intents {
-            writeln!(
-                payload,
-                "intent {} {} {}",
-                i.page,
-                tier_tag(i.from),
-                tier_tag(i.to)
-            )
-            .expect("writing to String cannot fail");
-        }
-        format!(
-            "record {} {} {:016x}\n{payload}",
-            self.round,
-            payload.len(),
-            fnv1a64(payload.as_bytes())
-        )
-    }
-}
-
-/// Decode an epoch journal written by [`EpochState::journal`]: verify the
-/// frame (length + checksum) and parse the payload back into the round,
-/// the outcome, and the intent list.
-pub fn decode_journal(text: &str) -> Result<(u64, EpochOutcome, Vec<EpochIntent>), HmError> {
-    let nl = text
-        .find('\n')
-        .ok_or_else(|| corrupt("missing frame header"))?;
-    let header: Vec<&str> = text[..nl].split_whitespace().collect();
-    if header.len() != 4 || header[0] != "record" {
-        return Err(corrupt("bad epoch journal frame header"));
-    }
-    let len = p_usize(header[2])?;
-    let payload = text
-        .get(nl + 1..nl + 1 + len)
-        .ok_or_else(|| corrupt("truncated epoch journal payload"))?;
-    if format!("{:016x}", fnv1a64(payload.as_bytes())) != header[3] {
-        return Err(corrupt("epoch journal checksum mismatch"));
-    }
-    let mut r = Reader::new(payload);
-    let t = r.line("merchepoch", 4)?;
-    let version = p_u32(t[0])?;
-    if version != EPOCH_JOURNAL_VERSION {
-        return Err(HmError::CheckpointCorrupt(format!(
-            "unsupported epoch journal version {version} (this build reads {EPOCH_JOURNAL_VERSION})"
-        )));
-    }
-    let round = p_u64(t[1])?;
-    let outcome = EpochOutcome::from_token(t[2])?;
-    let n = p_usize(t[3])?;
-    let mut intents = Vec::with_capacity(n);
-    for _ in 0..n {
-        let t = r.line("intent", 3)?;
-        intents.push(EpochIntent {
-            page: p_u64(t[0])?,
-            from: tier_from_tag(t[1])?,
-            to: tier_from_tag(t[2])?,
-        });
-    }
-    Ok((round, outcome, intents))
 }
 
 #[cfg(test)]
@@ -191,46 +64,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn journal_roundtrips() {
+    fn undo_keeps_the_first_touch() {
         let mut ep = EpochState::new(7);
-        ep.note_intent(3, Tier::Pm, Tier::Dram, 0);
-        ep.note_intent(5, Tier::Dram, Tier::Pm, 2);
-        ep.note_intent(3, Tier::Dram, Tier::Pm, 1); // re-touch: one undo entry
+        ep.note_touch(3, Tier::Pm, 0);
+        ep.note_touch(5, Tier::Dram, 2);
+        ep.note_touch(3, Tier::Dram, 1); // re-touch: one undo entry
         assert_eq!(ep.undo.len(), 2);
         assert_eq!(ep.undo[&3], (Tier::Pm, 0), "undo keeps the first touch");
-        for outcome in [
-            EpochOutcome::Clean,
-            EpochOutcome::Committed,
-            EpochOutcome::RolledBack,
-        ] {
-            let text = ep.journal(outcome);
-            let (round, back, intents) = decode_journal(&text).unwrap();
-            assert_eq!(round, 7);
-            assert_eq!(back, outcome);
-            assert_eq!(intents, ep.intents);
-        }
-    }
-
-    #[test]
-    fn empty_journal_roundtrips() {
-        let ep = EpochState::new(0);
-        let (round, outcome, intents) = decode_journal(&ep.journal(EpochOutcome::Clean)).unwrap();
-        assert_eq!((round, outcome), (0, EpochOutcome::Clean));
-        assert!(intents.is_empty());
-    }
-
-    #[test]
-    fn corrupt_journals_rejected() {
-        let mut ep = EpochState::new(1);
-        ep.note_intent(0, Tier::Pm, Tier::Dram, 0);
-        let good = ep.journal(EpochOutcome::Committed);
-        // Flip a payload byte: the checksum must catch it.
-        let bad = good.replacen("intent 0", "intent 9", 1);
-        assert!(decode_journal(&bad).is_err());
-        // Truncate the payload: the frame length must catch it.
-        let torn = &good[..good.len() - 4];
-        assert!(decode_journal(torn).is_err());
-        // Garbage header.
-        assert!(decode_journal("not a frame\n").is_err());
     }
 }

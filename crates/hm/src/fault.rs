@@ -825,7 +825,7 @@ impl FaultInjector {
         let t = r.line("faultstate", 4)?;
         let (round, pte_draws, migration_calls, crashed) =
             (p_u64(t[0])?, p_u64(t[1])?, p_u64(t[2])?, p_bool(t[3])?);
-        let t = r.line("faultstats", 9)?;
+        let t = r.line("faultstats", 11)?;
         let stats = FaultStats {
             migration_retries: p_u64(t[0])?,
             failed_pages: p_u64(t[1])?,
@@ -836,10 +836,8 @@ impl FaultInjector {
             pages_poisoned: p_u64(t[6])?,
             degraded_window_rounds: p_u64(t[7])?,
             offlined_bytes: p_u64(t[8])?,
-            // v6 appended the tenant-fault counters; pre-v6 frames carry 9
-            // tokens and restore with zeroed counters.
-            tenant_panics: t.get(9).map(|s| p_u64(s)).transpose()?.unwrap_or(0),
-            stalled_rounds: t.get(10).map(|s| p_u64(s)).transpose()?.unwrap_or(0),
+            tenant_panics: p_u64(t[9])?,
+            stalled_rounds: p_u64(t[10])?,
         };
         Ok(Self {
             plan,

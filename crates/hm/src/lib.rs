@@ -62,7 +62,7 @@ pub use backoff::Backoff;
 pub use checkpoint::{BreakerFrame, Checkpoint, Wal, WalStats, CHECKPOINT_VERSION};
 pub use config::{HmConfig, Tier, TierParams};
 pub use cost::{phase_cost_detail, PhaseCostDetail, Regime};
-pub use epoch::{decode_journal, EpochIntent, EpochOutcome, EPOCH_JOURNAL_VERSION};
+pub use epoch::EpochOutcome;
 pub use fault::{CrashPoint, FaultInjector, FaultKind, FaultPlan, FaultStats, FaultSummary};
 pub use object::{DataObject, ObjectId, ObjectSpec};
 pub use page::{

@@ -763,37 +763,11 @@ impl PageTable {
         first
     }
 
-    /// Append one fully-specified page (checkpoint restore only; normal
-    /// allocation goes through [`extend_for_object`](Self::extend_for_object)).
+    /// Restore one whole run (checkpoint restore only; normal allocation
+    /// goes through [`extend_for_object`](Self::extend_for_object)): `len`
+    /// pages sharing `info`, appended at the current end of the table.
     /// Call [`flush_aggregates`](Self::flush_aggregates) once after the
-    /// last page so whole-object queries regain their O(1) path.
-    pub fn push_raw(&mut self, page: PageInfo) {
-        let id = self.num_pages;
-        self.tier_pages[tier_idx(page.tier)] += 1;
-        let oi = page.object.0 as usize;
-        if oi == self.aggs.len() {
-            self.aggs.push(ObjAgg {
-                first_page: id,
-                num_pages: 1,
-                weight_total: 0.0,
-                weight_in: [0.0; 2],
-                dirty: true,
-            });
-            self.dirty.push(page.object.0);
-        } else if oi + 1 == self.aggs.len()
-            && self.aggs[oi].first_page + self.aggs[oi].num_pages == id
-        {
-            self.aggs[oi].num_pages += 1;
-        } else {
-            self.irregular = true;
-        }
-        self.append_page(page);
-    }
-
-    /// Restore one whole run (checkpoint v5 decode): `len` pages sharing
-    /// `info`, appended at the current end of the table. Aggregate
-    /// bookkeeping matches `len` consecutive [`push_raw`](Self::push_raw)
-    /// calls.
+    /// last run so whole-object queries regain their O(1) path.
     pub fn push_raw_run(&mut self, len: u64, info: PageInfo) {
         let first = self.num_pages;
         self.tier_pages[tier_idx(info.tier)] += len;

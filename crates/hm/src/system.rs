@@ -141,8 +141,6 @@ pub struct HmSystem {
     degrade_shifted: bool,
     /// In-flight transactional migration epoch, if one is open.
     epoch: Option<EpochState>,
-    /// WAL-framed intent journal of the most recently ended epoch.
-    last_epoch_journal: String,
 }
 
 impl HmSystem {
@@ -167,7 +165,6 @@ impl HmSystem {
             degrade: None,
             degrade_shifted: false,
             epoch: None,
-            last_epoch_journal: String::new(),
         }
     }
 
@@ -463,9 +460,8 @@ impl HmSystem {
     }
 
     /// Open a transactional migration epoch for `round`. Until
-    /// [`end_epoch`](Self::end_epoch), every page move journals its intent
-    /// and (on first touch) the page's pre-epoch `(tier, migrations)` into
-    /// an undo map.
+    /// [`end_epoch`](Self::end_epoch), the first move of each page records
+    /// its pre-epoch `(tier, migrations)` into an undo map.
     pub fn begin_epoch(&mut self, round: u64) {
         self.epoch = Some(EpochState::new(round));
     }
@@ -483,7 +479,7 @@ impl HmSystem {
             return EpochOutcome::Clean;
         };
         let torn = self.crashed() || ep.pages_failed > ep.pages_moved;
-        let outcome = if torn {
+        if torn {
             for (&page, &(tier, migrations)) in ep.undo.iter() {
                 // A torn epoch must never resurrect a poisoned frame:
                 // quarantine is monotone state outside the transaction, so
@@ -505,22 +501,14 @@ impl HmSystem {
         } else {
             self.epoch_commits += 1;
             EpochOutcome::Committed
-        };
-        self.last_epoch_journal = ep.journal(outcome);
-        outcome
+        }
     }
 
-    /// The WAL-framed intent journal of the most recently ended epoch
-    /// (empty before the first epoch ends).
-    pub fn last_epoch_journal(&self) -> &str {
-        &self.last_epoch_journal
-    }
-
-    /// Journal a migration intent into the open epoch, if any.
-    fn journal_intent(&mut self, id: PageId, to: Tier) {
+    /// Record `id`'s pre-move state into the open epoch's undo map, if any.
+    fn note_epoch_touch(&mut self, id: PageId) {
         if let Some(epoch) = self.epoch.as_mut() {
             let p = self.page_table.get(id);
-            epoch.note_intent(id, p.tier(), to, p.migrations);
+            epoch.note_touch(id, p.tier(), p.migrations);
         }
     }
 
@@ -683,7 +671,7 @@ impl HmSystem {
             // Fault-free fast path: fold maximal ascending-contiguous id
             // groups out of the stream and apply each as extent
             // splits/merges. Group boundaries preserve the stream's
-            // processing order, so counters, journal entries and final
+            // processing order, so counters, undo entries and final
             // placement are bitwise what the per-page loop produces.
             let mut cur: Option<(PageId, PageId)> = None;
             let mut ok = true;
@@ -767,7 +755,7 @@ impl HmSystem {
         debug_assert!(self.fault.is_none());
         // Segments that actually move: runs not already on `to`, with
         // quarantined pages punched out of promotions (silently skipped,
-        // exactly as the per-page loop skips them before journaling).
+        // exactly as the per-page loop skips them before touching them).
         let mut segs: Vec<(PageId, u64, Tier, u32)> = Vec::new();
         for r in self.page_table.runs_in(range.clone()) {
             if r.info.tier() == to {
@@ -809,11 +797,10 @@ impl HmSystem {
             return true;
         }
         for &(start, len, from, migrations) in &segs {
-            // Journal per page in ascending order — the order (and the
-            // pre-move state) the per-page loop would journal.
+            // Record the pre-move state the per-page loop would record.
             if let Some(ep) = self.epoch.as_mut() {
                 for id in start..start + len {
-                    ep.note_intent(id, from, to, migrations);
+                    ep.note_touch(id, from, migrations);
                 }
                 ep.pages_moved += len;
             }
@@ -848,7 +835,7 @@ impl HmSystem {
         if to == Tier::Dram && self.page_table.is_quarantined(id) {
             return Ok(());
         }
-        self.journal_intent(id, to);
+        self.note_epoch_touch(id);
         let max_retries = self.fault.as_ref().map(|f| f.max_retries()).unwrap_or(0);
         let mut backoff = crate::backoff::Backoff::new(max_retries, self.seed ^ id.rotate_left(23));
         loop {
@@ -921,7 +908,7 @@ impl HmSystem {
         }
         let mut evicted = 0;
         for (id, _) in crate::topk::expand_cold_runs_top_k(dram_runs, n as usize) {
-            self.journal_intent(id, Tier::Pm);
+            self.note_epoch_touch(id);
             self.page_table.set_tier(id, Tier::Pm);
             self.page_table.bump_migrations(id);
             self.total_migrations += 1;
@@ -1028,7 +1015,7 @@ impl HmSystem {
             )
             .expect("writing to String cannot fail");
         }
-        // Format v5: the page table persists as extents — one `x` line per
+        // The page table persists as extents — one `x` line per
         // run (`len object tier weight accessed count migrations`; starts
         // are implicit, runs are written in page order). A 1e8-page table
         // with a handful of objects checkpoints in a few hundred bytes.
@@ -1071,21 +1058,6 @@ impl HmSystem {
 
     /// Restore a system serialized by [`encode_state`](Self::encode_state).
     pub fn decode_state(r: &mut crate::checkpoint::Reader<'_>) -> Result<Self, HmError> {
-        Self::decode_state_versioned(r, crate::checkpoint::CHECKPOINT_VERSION)
-    }
-
-    /// Restore a system block written by checkpoint format `version`
-    /// (1 ..= [`CHECKPOINT_VERSION`](crate::checkpoint::CHECKPOINT_VERSION)).
-    /// The reader has no lookahead, so dispatch is strictly by version:
-    /// v1 has 4-token `syscounters` and no epoch counters, `dramquota`
-    /// appears in v3, `offlined`/`quarantine` in v4, and v5 replaces the
-    /// per-page `pages`/`p` section with `extents`/`x` run lines. One
-    /// caveat survives from v4's widened fault lines: a v1–v3 payload with
-    /// an *armed* fault injector does not decode (`fault 0` always does).
-    pub fn decode_state_versioned(
-        r: &mut crate::checkpoint::Reader<'_>,
-        version: u32,
-    ) -> Result<Self, HmError> {
         use crate::checkpoint::{corrupt, p_bool, p_f64, p_u32, p_u64, p_usize, unesc};
         use crate::config::TierParams;
         let t = r.line("hmconfig", 5)?;
@@ -1120,33 +1092,18 @@ impl HmSystem {
             page_migration_ns,
             migration_parallelism,
         };
-        let t = r.line("syscounters", if version >= 2 { 6 } else { 4 })?;
+        let t = r.line("syscounters", 6)?;
         let (total_migrations, total_migration_attempts, total_backoff_ns, seed) =
             (p_u64(t[0])?, p_u64(t[1])?, p_f64(t[2])?, p_u64(t[3])?);
-        // v2 added the transactional-epoch counters.
-        let (epoch_commits, epoch_rollbacks) = if version >= 2 {
-            (p_u64(t[4])?, p_u64(t[5])?)
-        } else {
-            (0, 0)
-        };
-        // v3 added per-tenant DRAM quotas.
-        let dram_quota = if version >= 3 {
-            let t = r.line("dramquota", 1)?;
-            let quota: i64 = t[0].parse().map_err(|_| corrupt("bad dram quota"))?;
-            (quota >= 0).then_some(quota as u64)
-        } else {
-            None
-        };
-        // v4 added permanent capacity offlining.
-        let offlined_bytes = if version >= 4 {
-            let t = r.line("offlined", 1)?;
-            p_u64(t[0])?
-        } else {
-            0
-        };
+        let (epoch_commits, epoch_rollbacks) = (p_u64(t[4])?, p_u64(t[5])?);
+        let t = r.line("dramquota", 1)?;
+        let quota: i64 = t[0].parse().map_err(|_| corrupt("bad dram quota"))?;
+        let dram_quota = (quota >= 0).then_some(quota as u64);
+        let t = r.line("offlined", 1)?;
+        let offlined_bytes = p_u64(t[0])?;
         let t = r.line("objects", 1)?;
         let num_objects = p_usize(t[0])?;
-        let mut objects = Vec::with_capacity(num_objects);
+        let mut objects = Vec::new();
         let mut by_name = BTreeMap::new();
         for k in 0..num_objects {
             let t = r.line("object", 6)?;
@@ -1166,73 +1123,51 @@ impl HmSystem {
                 owner_task: (owner >= 0).then_some(owner as usize),
             });
         }
+        // Extent framing: `extents <runs> <pages>` then one `x` line per
+        // run, starts implicit in page order.
+        let t = r.line("extents", 2)?;
+        let num_runs = p_usize(t[0])?;
+        let num_pages = p_u64(t[1])?;
         let mut page_table = PageTable::default();
-        let num_pages;
-        if version >= 5 {
-            // v5: extent framing — `extents <runs> <pages>` then one `x`
-            // line per run, starts implicit in page order.
-            let t = r.line("extents", 2)?;
-            let num_runs = p_usize(t[0])?;
-            num_pages = p_usize(t[1])?;
-            for _ in 0..num_runs {
-                let t = r.line("x", 7)?;
-                let len = p_u64(t[0])?;
-                let tier = match t[2] {
-                    "D" => Tier::Dram,
-                    "P" => Tier::Pm,
-                    _ => return Err(corrupt("bad extent tier")),
-                };
-                page_table.push_raw_run(
-                    len,
-                    crate::page::PageInfo::restore(
-                        ObjectId(p_u32(t[1])?),
-                        tier,
-                        p_f64(t[3])?,
-                        p_bool(t[4])?,
-                        p_f64(t[5])?,
-                        p_u32(t[6])?,
-                    ),
-                );
+        for _ in 0..num_runs {
+            let t = r.line("x", 7)?;
+            let len = p_u64(t[0])?;
+            // Reject an over-long run before the table grows to hold it.
+            if len > num_pages - page_table.len() as u64 {
+                return Err(corrupt("extent lengths exceed the page count"));
             }
-            if page_table.len() != num_pages {
-                return Err(corrupt("extent lengths do not sum to the page count"));
-            }
-        } else {
-            // v1–v4: one `p` line per page.
-            let t = r.line("pages", 1)?;
-            num_pages = p_usize(t[0])?;
-            for _ in 0..num_pages {
-                let t = r.line("p", 6)?;
-                let tier = match t[1] {
-                    "D" => Tier::Dram,
-                    "P" => Tier::Pm,
-                    _ => return Err(corrupt("bad page tier")),
-                };
-                page_table.push_raw(crate::page::PageInfo::restore(
-                    ObjectId(p_u32(t[0])?),
+            let tier = match t[2] {
+                "D" => Tier::Dram,
+                "P" => Tier::Pm,
+                _ => return Err(corrupt("bad extent tier")),
+            };
+            page_table.push_raw_run(
+                len,
+                crate::page::PageInfo::restore(
+                    ObjectId(p_u32(t[1])?),
                     tier,
-                    p_f64(t[2])?,
-                    p_bool(t[3])?,
-                    p_f64(t[4])?,
-                    p_u32(t[5])?,
-                ));
-            }
+                    p_f64(t[3])?,
+                    p_bool(t[4])?,
+                    p_f64(t[5])?,
+                    p_u32(t[6])?,
+                ),
+            );
+        }
+        if page_table.len() as u64 != num_pages {
+            return Err(corrupt("extent lengths do not sum to the page count"));
         }
         page_table.flush_aggregates();
-        // v4 added the poisoned-frame quarantine set.
-        if version >= 4 {
-            let t = r.line("quarantine", 1)?;
-            let num_quarantined = p_usize(t[0])?;
-            if t.len() != 1 + num_quarantined {
-                return Err(corrupt("quarantine id count mismatch"));
+        let t = r.line("quarantine", 1)?;
+        let num_quarantined = p_usize(t[0])?;
+        if t.len() - 1 != num_quarantined {
+            return Err(corrupt("quarantine id count mismatch"));
+        }
+        for tok in &t[1..] {
+            let id = p_u64(tok)?;
+            if id >= num_pages {
+                return Err(corrupt("quarantined page id out of range"));
             }
-            for tok in &t[1..] {
-                let id = p_u64(tok)?;
-                if id as usize >= num_pages {
-                    return Err(corrupt("quarantined page id out of range"));
-                }
-                page_table.quarantine_page(id);
-            }
+            page_table.quarantine_page(id);
         }
         let t = r.line("fault", 1)?;
         let fault = if p_bool(t[0])? {
@@ -1278,7 +1213,6 @@ impl HmSystem {
             // Epochs never span a round boundary, so a checkpoint (taken at
             // boundaries only) always restores with no epoch in flight.
             epoch: None,
-            last_epoch_journal: String::new(),
         })
     }
 }
@@ -1411,7 +1345,7 @@ mod tests {
 
     #[test]
     fn epoch_commits_when_clean() {
-        use crate::epoch::{decode_journal, EpochOutcome};
+        use crate::epoch::EpochOutcome;
         let mut sys = tiny_system();
         let id = sys
             .allocate(&ObjectSpec::new("X", 4 * PAGE_SIZE), Tier::Pm)
@@ -1425,15 +1359,11 @@ mod tests {
         assert_eq!(sys.end_epoch(), EpochOutcome::Committed);
         assert_eq!((sys.epoch_commits, sys.epoch_rollbacks), (1, 0));
         assert!(sys.dram_fraction(id) > 0.0, "committed moves are kept");
-        let (round, outcome, intents) = decode_journal(sys.last_epoch_journal()).unwrap();
-        assert_eq!(round, 1);
-        assert_eq!(outcome, EpochOutcome::Committed);
-        assert_eq!(intents.len(), 2);
     }
 
     #[test]
     fn torn_epoch_rolls_back_bitwise() {
-        use crate::epoch::{decode_journal, EpochOutcome};
+        use crate::epoch::EpochOutcome;
         use crate::fault::FaultPlan;
         let mut sys = tiny_system();
         let id = sys
@@ -1466,10 +1396,6 @@ mod tests {
         assert!(sys.page_table().aggregates_clean());
         // Physical history stays charged.
         assert!(sys.total_migration_attempts > 4);
-        let (round, outcome, intents) = decode_journal(sys.last_epoch_journal()).unwrap();
-        assert_eq!(round, 4);
-        assert_eq!(outcome, EpochOutcome::RolledBack);
-        assert_eq!(intents.len(), 3);
     }
 
     #[test]

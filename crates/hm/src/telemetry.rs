@@ -211,8 +211,6 @@ impl BandwidthTimeline {
         let (bin_ns, clock_ns, n) = (p_f64(t[0])?, p_f64(t[1])?, p_usize(t[2])?);
         let mut tl = Self::try_new(bin_ns)?;
         tl.clock_ns = clock_ns;
-        tl.dram_bytes.reserve(n);
-        tl.pm_bytes.reserve(n);
         for _ in 0..n {
             let t = r.line("bin", 2)?;
             tl.dram_bytes.push(p_f64(t[0])?);

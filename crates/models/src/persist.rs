@@ -77,7 +77,7 @@ impl Portable for DecisionTreeRegressor {
         let max_depth: usize = parts[2].parse().map_err(|_| parse_err("bad depth"))?;
         let min_samples: usize = parts[3].parse().map_err(|_| parse_err("bad min_samples"))?;
         let seed: u64 = parts[4].parse().map_err(|_| parse_err("bad seed"))?;
-        let mut nodes = Vec::with_capacity(n_nodes);
+        let mut nodes = Vec::new();
         for _ in 0..n_nodes {
             let line = read_line(r)?;
             let p: Vec<&str> = line.split_whitespace().collect();
@@ -133,7 +133,7 @@ impl Portable for GradientBoostedRegressor {
             return Err(parse_err("bad stages line"));
         }
         let n_stages: usize = sp[1].parse().map_err(|_| parse_err("bad stage count"))?;
-        let mut stages = Vec::with_capacity(n_stages);
+        let mut stages = Vec::new();
         for _ in 0..n_stages {
             stages.push(DecisionTreeRegressor::read_portable(r)?);
         }

@@ -9,7 +9,7 @@ use proptest::prelude::*;
 
 use merchandiser_suite::core::perfmodel::PerformanceModel;
 use merchandiser_suite::core::policy::MerchandiserPolicy;
-use merchandiser_suite::hm::epoch::{decode_journal, EpochOutcome};
+use merchandiser_suite::hm::epoch::EpochOutcome;
 use merchandiser_suite::hm::page::PAGE_SIZE;
 use merchandiser_suite::hm::runtime::Executor;
 use merchandiser_suite::hm::workload::testutil::SkewedWorkload;
@@ -70,9 +70,8 @@ proptest! {
 
     /// A torn epoch — one successful move followed by a failure burst that
     /// abandons more pages than the epoch moved — rolls the page table back
-    /// to the pre-epoch snapshot bit for bit, keeps the residency
-    /// aggregates clean, and journals every intent with the `RolledBack`
-    /// outcome.
+    /// to the pre-epoch snapshot bit for bit and keeps the residency
+    /// aggregates clean.
     #[test]
     fn torn_epoch_rollback_is_bitwise(
         seed in any::<u64>(),
@@ -120,10 +119,6 @@ proptest! {
         // Bitwise rollback: the successful in-epoch move was undone too.
         prop_assert_eq!(format!("{:?}", sys.page_table()), before);
         prop_assert!(sys.page_table().aggregates_clean());
-        let (jr, outcome, intents) = decode_journal(sys.last_epoch_journal()).unwrap();
-        prop_assert_eq!(jr, round);
-        prop_assert_eq!(outcome, EpochOutcome::RolledBack);
-        prop_assert_eq!(intents.len() as u64, 1 + burst);
     }
 
     /// Under a plan whose migrations always fail (so epochs keep rolling
