@@ -17,21 +17,25 @@
 //!   including `NaN` and `inf`.
 //! * **Torn-write tolerance.** Each WAL record is framed as
 //!   `record <seq> <len> <fnv1a64-hex>` followed by exactly `len` payload
-//!   bytes. Recovery scans the frames, drops any record whose checksum
-//!   fails or whose payload is truncated, and restores the *last valid*
-//!   one — a torn tail from the crash never poisons recovery.
+//!   bytes. Recovery checksums every frame, drops any record whose
+//!   checksum fails or whose payload is truncated, and restores the *last
+//!   valid* one — a torn tail from the crash never poisons recovery. It
+//!   decodes newest-first and stops at the first record that decodes, so
+//!   a clean WAL costs one decode however many records it holds.
 //! * **Versioning.** Every payload starts with `merchckpt <version>`;
 //!   decoding rejects versions it does not understand instead of
 //!   misreading them.
 //!
 //! What is captured: `HmSystem` placement state (page tiers, weights,
 //! access counters), migration counters, the fault-injector cursor
-//! (plan, round clock, draw counters, crash latch, statistics), the
-//! bandwidth-timeline bins and clock, every completed `RoundReport`, and
-//! an opaque policy blob (`PlacementPolicy::save_state`). What is *not*
-//! captured: the workload (rebuilt from its constructor seed and
-//! fast-forwarded on resume) and derived caches such as α lookup tables
-//! (lazily recomputed).
+//! (plan, round clock, draw counters, crash latch, statistics), every
+//! completed `RoundReport`, the bandwidth-timeline header (bin width,
+//! clock, bin count, lost bins), and an opaque policy blob
+//! (`PlacementPolicy::save_state`). What is *not* captured: the workload
+//! (rebuilt from its constructor seed and fast-forwarded on resume), the
+//! bandwidth-timeline bins (rebuilt bit-exact from the completed rounds,
+//! see `BandwidthTimeline::decode_state`) and derived caches such as α
+//! lookup tables (lazily recomputed).
 
 use std::fmt::Write as _;
 use std::io::Write as _;
@@ -44,13 +48,16 @@ use crate::system::{HmError, HmSystem};
 use crate::telemetry::BandwidthTimeline;
 
 /// Version of the checkpoint payload format, the only one this build
-/// reads and writes. Version 6 frames the page table as extents
+/// reads and writes. The page table is framed as extents
 /// (`extents <runs> <pages>` + one `x` line per run, starts implicit in
-/// page order) and carries the transactional-epoch counters, the
+/// page order); the payload carries the transactional-epoch counters, the
 /// per-tenant `dramquota`, the device fault domain (`offlined`,
 /// `quarantine`), and the tenant circuit-breaker frame (`breaker`,
-/// directly after `cursor`). Any other version is rejected.
-pub const CHECKPOINT_VERSION: u32 = 6;
+/// directly after `cursor`). The bandwidth timeline is a single
+/// `timeline <bin_ns> <clock_ns> <bins> <n_lost> <lost bins…>` line after
+/// the completed rounds: its bins are not written, the decoder rebuilds
+/// them from those rounds. Any other version is rejected.
+pub const CHECKPOINT_VERSION: u32 = 7;
 
 /// Retries after a failed WAL write attempt before the checkpoint is
 /// skipped for this round (the run continues; only recovery granularity
@@ -245,7 +252,9 @@ pub struct Checkpoint {
     pub blackout_cursor: usize,
     /// Full placement state (page table, counters, fault injector).
     pub sys: HmSystem,
-    /// Bandwidth telemetry up to the boundary.
+    /// Bandwidth telemetry up to the boundary. It must be what
+    /// [`completed`](Self::completed) recorded: only its header is
+    /// encoded, and decoding rebuilds the bins from those rounds.
     pub timeline: BandwidthTimeline,
     /// Reports of the rounds already executed.
     pub completed: Vec<RoundReport>,
@@ -267,7 +276,6 @@ impl Checkpoint {
             .expect("writing to String cannot fail");
         self.breaker.encode(&mut out);
         self.sys.encode_state(&mut out);
-        self.timeline.encode_state(&mut out);
         writeln!(out, "completed {}", self.completed.len()).expect("writing to String cannot fail");
         for r in &self.completed {
             writeln!(
@@ -303,6 +311,7 @@ impl Checkpoint {
                 .expect("writing to String cannot fail");
             }
         }
+        self.timeline.encode_state(&mut out);
         let n_policy_lines = if self.policy_state.is_empty() {
             0
         } else {
@@ -318,6 +327,8 @@ impl Checkpoint {
 
     /// Decode a payload produced by [`encode`](Self::encode).
     pub fn decode(text: &str) -> Result<Self, HmError> {
+        #[cfg(test)]
+        tests::DECODES.with(|n| n.set(n.get() + 1));
         let mut r = Reader::new(text);
         let t = r.line("merchckpt", 1)?;
         let version = p_u32(t[0])?;
@@ -330,7 +341,6 @@ impl Checkpoint {
         let (next_round, blackout_cursor) = (p_usize(t[0])?, p_usize(t[1])?);
         let breaker = BreakerFrame::decode(&mut r)?;
         let sys = HmSystem::decode_state(&mut r)?;
-        let timeline = BandwidthTimeline::decode_state(&mut r)?;
         let t = r.line("completed", 1)?;
         let n_rounds = p_usize(t[0])?;
         let mut completed = Vec::new();
@@ -368,6 +378,7 @@ impl Checkpoint {
                 round_time_ns: p_f64(t[10])?,
             });
         }
+        let timeline = BandwidthTimeline::decode_state(&mut r, &completed)?;
         let t = r.line("policy", 1)?;
         let n_policy_lines = p_usize(t[0])?;
         let mut policy_state = String::new();
@@ -523,6 +534,9 @@ impl Wal {
     /// Mid-file records that merely fail their checksum, UTF-8 check or
     /// decode are skipped (the scan continues) and are not tail drops.
     /// Frames are found on raw bytes, so no input can panic the scan.
+    /// Every frame is checksummed, but payloads are decoded newest-first
+    /// and only until one decodes: the result is the same as decoding them
+    /// all, at the cost of one decode on a clean WAL.
     pub fn latest_with_warning(
         path: impl AsRef<Path>,
     ) -> Result<(Option<Checkpoint>, Option<crate::telemetry::Warning>), HmError> {
@@ -537,7 +551,7 @@ impl Wal {
                 )))
             }
         };
-        let mut best = None;
+        let mut valid: Vec<&[u8]> = Vec::new();
         let mut dropped: Option<(u64, &'static str)> = None;
         let mut rest = data.as_slice();
         while let Some(nl) = rest.iter().position(|&b| b == b'\n') {
@@ -559,15 +573,15 @@ impl Wal {
             }
             let (payload, tail) = after.split_at(len);
             if format!("{:016x}", fnv1a64(payload)) == toks[3] {
-                if let Some(ck) = std::str::from_utf8(payload)
-                    .ok()
-                    .and_then(|text| Checkpoint::decode(text).ok())
-                {
-                    best = Some(ck);
-                }
+                valid.push(payload);
             }
             rest = tail;
         }
+        let best = valid.iter().rev().find_map(|payload| {
+            std::str::from_utf8(payload)
+                .ok()
+                .and_then(|text| Checkpoint::decode(text).ok())
+        });
         if dropped.is_none() && !rest.is_empty() {
             // Leftover bytes without even a newline: a torn header.
             dropped = Some((rest.len() as u64, "torn frame header"));
@@ -587,6 +601,7 @@ impl Wal {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
     use std::io::Write as _;
 
     use super::*;
@@ -594,6 +609,17 @@ mod tests {
     use crate::fault::FaultPlan;
     use crate::object::ObjectSpec;
     use crate::page::PAGE_SIZE;
+
+    thread_local! {
+        /// [`Checkpoint::decode`] calls made on this test's thread.
+        pub(super) static DECODES: Cell<u64> = const { Cell::new(0) };
+    }
+
+    fn wal_path(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("merch-wal-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join(name)
+    }
 
     fn sample_checkpoint() -> Checkpoint {
         let mut sys = HmSystem::new(HmConfig::calibrated(16 * PAGE_SIZE, 128 * PAGE_SIZE), 7);
@@ -620,39 +646,44 @@ mod tests {
         // must round-trip bit-exact through the payload.
         sys.poison_page(1);
         sys.offline_dram(2 * PAGE_SIZE);
+        let completed = vec![RoundReport {
+            round: 2,
+            tasks: vec![TaskResult {
+                task: 0,
+                time_ns: 1234.5,
+                cost: crate::cost::PhaseCost {
+                    time_ns: 1234.5,
+                    dram_bytes: 10.0,
+                    pm_bytes: f64::NAN,
+                    dram_accesses: 3.25,
+                    pm_accesses: 0.0,
+                    compute_ns: 99.0,
+                },
+            }],
+            migration_pages: 2,
+            migration_attempts: 3,
+            failed_pages: 0,
+            degraded: true,
+            straggler_events: 1,
+            watchdog_pages: 4,
+            epoch_commits: 1,
+            epoch_rollbacks: 1,
+            migration_ns: 5000.0,
+            round_time_ns: 6234.5,
+        }];
+        // The timeline is what the completed rounds recorded, with one bin
+        // lost to a telemetry blackout.
         let mut timeline = BandwidthTimeline::new(100.0);
-        timeline.record_interval(0.0, 250.0, 1000.0, 500.0);
-        timeline.advance(250.0);
+        for r in &completed {
+            timeline.record_round(r.migration_ns, &r.tasks, r.round_time_ns);
+        }
+        timeline.blackout_bin(55);
         Checkpoint {
             next_round: 3,
-            blackout_cursor: 1,
+            blackout_cursor: 62,
             sys,
             timeline,
-            completed: vec![RoundReport {
-                round: 2,
-                tasks: vec![TaskResult {
-                    task: 0,
-                    time_ns: 1234.5,
-                    cost: crate::cost::PhaseCost {
-                        time_ns: 1234.5,
-                        dram_bytes: 10.0,
-                        pm_bytes: f64::NAN,
-                        dram_accesses: 3.25,
-                        pm_accesses: 0.0,
-                        compute_ns: 99.0,
-                    },
-                }],
-                migration_pages: 2,
-                migration_attempts: 3,
-                failed_pages: 0,
-                degraded: true,
-                straggler_events: 1,
-                watchdog_pages: 4,
-                epoch_commits: 1,
-                epoch_rollbacks: 1,
-                migration_ns: 5000.0,
-                round_time_ns: 6234.5,
-            }],
+            completed,
             policy_state: "alpha 0.5\nquota 17\n".to_string(),
             breaker: BreakerFrame {
                 strikes: 2,
@@ -675,6 +706,7 @@ mod tests {
         assert_eq!(back.encode(), text);
         assert_eq!(back.next_round, 3);
         assert_eq!(back.policy_state, ck.policy_state);
+        assert_eq!(format!("{:?}", back.timeline), format!("{:?}", ck.timeline));
         assert_eq!(
             format!("{:?}", back.sys.fault_stats()),
             format!("{:?}", ck.sys.fault_stats())
@@ -692,20 +724,18 @@ mod tests {
     #[test]
     fn version_mismatch_rejected() {
         let text = sample_checkpoint().encode();
-        for version in [0, 1, 2, 3, 4, 5, 7, 99] {
-            let old = text.replacen("merchckpt 6", &format!("merchckpt {version}"), 1);
+        for version in [0, 1, 2, 3, 4, 5, 6, 8, 99] {
+            let old = text.replacen("merchckpt 7", &format!("merchckpt {version}"), 1);
             let Err(HmError::CheckpointCorrupt(msg)) = Checkpoint::decode(&old) else {
                 panic!("merchckpt {version} must be rejected as corrupt");
             };
-            assert!(msg.contains("this build reads 6"), "{msg}");
+            assert!(msg.contains("this build reads 7"), "{msg}");
         }
     }
 
     #[test]
     fn wal_append_and_latest() {
-        let dir = std::env::temp_dir().join(format!("merch-wal-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("append_and_latest.wal");
+        let path = wal_path("append_and_latest.wal");
         let mut wal = Wal::create(&path).unwrap();
         let mut ck = sample_checkpoint();
         assert!(wal.append(&ck, None).unwrap());
@@ -719,9 +749,7 @@ mod tests {
 
     #[test]
     fn torn_tail_recovers_previous_record() {
-        let dir = std::env::temp_dir().join(format!("merch-wal-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("torn_tail.wal");
+        let path = wal_path("torn_tail.wal");
         let mut wal = Wal::create(&path).unwrap();
         let ck = sample_checkpoint();
         wal.append(&ck, None).unwrap();
@@ -762,9 +790,7 @@ mod tests {
 
     #[test]
     fn clean_wal_yields_no_warning() {
-        let dir = std::env::temp_dir().join(format!("merch-wal-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("clean_no_warning.wal");
+        let path = wal_path("clean_no_warning.wal");
         let mut wal = Wal::create(&path).unwrap();
         // Empty WAL: no records, no warning.
         let (none, warning) = Wal::latest_with_warning(&path).unwrap();
@@ -777,15 +803,59 @@ mod tests {
     }
 
     #[test]
+    fn clean_wal_decodes_only_the_newest_record() {
+        let path = wal_path("newest_only.wal");
+        let mut wal = Wal::create(&path).unwrap();
+        let mut ck = sample_checkpoint();
+        for next_round in 3..8 {
+            ck.next_round = next_round;
+            assert!(wal.append(&ck, None).unwrap());
+        }
+        let before = DECODES.with(Cell::get);
+        let latest = Wal::latest(&path).unwrap().unwrap();
+        assert_eq!(latest.next_round, 7);
+        assert_eq!(DECODES.with(Cell::get) - before, 1, "5 records, 1 decode");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn undecodable_newest_record_falls_back_to_the_previous() {
+        let path = wal_path("undecodable_newest.wal");
+        let mut wal = Wal::create(&path).unwrap();
+        let ck = sample_checkpoint();
+        assert!(wal.append(&ck, None).unwrap());
+        // A checksum-valid frame whose payload does not decode: a timeline
+        // header that its completed rounds cannot have produced.
+        let text = ck.encode().replacen("timeline 100.0 ", "timeline 50.0 ", 1);
+        assert!(Checkpoint::decode(&text).is_err());
+        let mut f = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .unwrap();
+        write!(
+            f,
+            "record 1 {} {:016x}\n{text}",
+            text.len(),
+            fnv1a64(text.as_bytes())
+        )
+        .unwrap();
+        drop(f);
+        let before = DECODES.with(Cell::get);
+        let (latest, warning) = Wal::latest_with_warning(&path).unwrap();
+        assert_eq!(DECODES.with(Cell::get) - before, 2);
+        assert_eq!(latest.unwrap().encode(), ck.encode());
+        assert!(warning.is_none(), "a framed record is skipped, not a tail");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn missing_file_is_none() {
         assert!(Wal::latest("/nonexistent/nowhere.wal").unwrap().is_none());
     }
 
     #[test]
     fn injected_write_failures_skip_but_run_continues() {
-        let dir = std::env::temp_dir().join(format!("merch-wal-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("injected_fail.wal");
+        let path = wal_path("injected_fail.wal");
         let mut wal = Wal::create(&path).unwrap();
         let ck = sample_checkpoint();
         let always_fail = FaultInjector::new(

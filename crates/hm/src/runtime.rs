@@ -462,7 +462,7 @@ impl<W: Workload, P: PlacementPolicy + Sync> Executor<W, P> {
     /// Placement state, telemetry, completed rounds, and the policy blob
     /// all come from the snapshot; one-shot scripted faults are disarmed
     /// like [`resume`](Self::resume) does. The service's Half-Open probe
-    /// path uses this to prove the v6 round-trip is bit-identical.
+    /// path uses this to prove the checkpoint round-trip is bit-identical.
     pub fn restore_in_place(
         &mut self,
         checkpoint: crate::checkpoint::Checkpoint,
@@ -755,14 +755,7 @@ impl<W: Workload, P: PlacementPolicy + Sync> Executor<W, P> {
             }
         }
 
-        // Telemetry: tasks start together after migration overhead.
-        let start = self.timeline.clock_ns + migration_ns;
-        let mut max_time: f64 = 0.0;
-        for r in &results {
-            self.timeline
-                .record_interval(start, r.time_ns, r.cost.dram_bytes, r.cost.pm_bytes);
-            max_time = max_time.max(r.time_ns);
-        }
+        let max_time = results.iter().fold(0.0f64, |m, r| m.max(r.time_ns));
         let mut round_time = max_time + migration_ns;
         // Scripted tenant stall: the round hangs for STALL_MULT× its real
         // time. Inflating before the telemetry advance keeps clocks, bins,
@@ -772,7 +765,10 @@ impl<W: Workload, P: PlacementPolicy + Sync> Executor<W, P> {
             round_time *= stall;
             self.sys.note_stalled_round();
         }
-        self.timeline.advance(round_time);
+        // Telemetry: tasks start together after migration overhead. The
+        // checkpoint decoder rebuilds the timeline through the same call.
+        self.timeline
+            .record_round(migration_ns, &results, round_time);
 
         // Telemetry blackout: bins completed by this round may be lost.
         if self

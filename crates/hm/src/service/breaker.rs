@@ -1,7 +1,7 @@
 //! Per-tenant circuit breaker: the Closed → Open → Half-Open transition
 //! logic over the persistent [`BreakerFrame`] (DESIGN.md §17).
 //!
-//! The *frame* (plain data, checkpoint v6) lives in
+//! The *frame* (plain data, part of every checkpoint) lives in
 //! [`crate::checkpoint::BreakerFrame`] so an Open tenant's breaker state
 //! survives crash/resume bit-identically; this module adds the tuning
 //! knobs and the transition functions the service's supervisor calls.

@@ -51,12 +51,12 @@
 //! threshold) no longer tears the whole service down: each tenant carries
 //! a three-state circuit [`breaker`]. Strikes inside a window trip the
 //! breaker Closed → Open — the tenant is suspended at its round boundary,
-//! its executor state checkpointed (v6, breaker frame embedded), and its
+//! its executor state checkpointed (breaker frame embedded), and its
 //! grant released back to the pool where the next priority-ordered
 //! admission pass redistributes it, exactly like a
 //! [capacity renegotiation](PlacementService::offline_dram). After a
 //! cool-down the breaker goes Half-Open: the checkpoint is restored
-//! *in place* (proving the v6 round-trip bit-identical), the grant
+//! *in place* (proving the checkpoint round-trip bit-identical), the grant
 //! re-applied, and probe rounds run — clean probes re-close the breaker,
 //! one struck probe re-trips it, and `max_trips` trips quarantine the
 //! tenant for good. Survivors are never perturbed: their round streams
@@ -769,7 +769,7 @@ impl PlacementService {
             match restored {
                 Ok(frame) => {
                     // The decoded frame *is* the authoritative breaker
-                    // state — the v6 round-trip just proved itself.
+                    // state — the checkpoint round-trip just proved itself.
                     t.breaker = frame;
                     t.breaker.begin_probe(&self.config.breaker);
                     t.granted_quota = Some(grant);
@@ -1315,7 +1315,7 @@ mod tests {
     fn trip_checkpoint_roundtrips_breaker_frame() {
         use crate::fault::FaultPlan;
         // Drive the serial loop until the victim trips, then decode its
-        // trip checkpoint: the embedded v6 frame must equal the live one.
+        // trip checkpoint: the embedded frame must equal the live one.
         let mut svc = PlacementService::new(ServiceConfig::new(64 * PAGE_SIZE).with_seed(11));
         svc.submit(
             spec("victim", 16),

@@ -6,6 +6,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::runtime::{RoundReport, TaskResult};
 use crate::system::HmError;
 
 /// A structured, non-fatal runtime warning surfaced through the telemetry
@@ -85,6 +86,9 @@ pub struct BandwidthTimeline {
     bin_ns: f64,
     dram_bytes: Vec<f64>,
     pm_bytes: Vec<f64>,
+    /// Bins zeroed by [`blackout_bin`](Self::blackout_bin), in the order
+    /// they were lost.
+    lost: Vec<usize>,
     /// Simulated time offset at which the current round started, ns.
     pub clock_ns: f64,
 }
@@ -108,6 +112,7 @@ impl BandwidthTimeline {
             bin_ns,
             dram_bytes: Vec::new(),
             pm_bytes: Vec::new(),
+            lost: Vec::new(),
             clock_ns: 0.0,
         })
     }
@@ -123,11 +128,14 @@ impl BandwidthTimeline {
     }
 
     /// Zero the byte counters of bin `bin` (telemetry blackout fault:
-    /// the collector lost that sampling interval).
+    /// the collector lost that sampling interval). The index is
+    /// remembered, so a checkpoint carries the lost bins instead of the
+    /// bins themselves.
     pub fn blackout_bin(&mut self, bin: usize) {
         if bin < self.dram_bytes.len() {
             self.dram_bytes[bin] = 0.0;
             self.pm_bytes[bin] = 0.0;
+            self.lost.push(bin);
         }
     }
 
@@ -141,12 +149,10 @@ impl BandwidthTimeline {
     /// Record a task that ran on `[start_ns, start_ns + dur_ns)` moving
     /// `dram_bytes` from DRAM and `pm_bytes` from PM, spread uniformly.
     pub fn record_interval(&mut self, start_ns: f64, dur_ns: f64, dram_bytes: f64, pm_bytes: f64) {
-        if dur_ns <= 0.0 {
+        let Some((first, last, top)) = self.span(start_ns, dur_ns) else {
             return;
-        }
-        let first = (start_ns / self.bin_ns).floor() as usize;
-        let last = ((start_ns + dur_ns) / self.bin_ns).ceil() as usize;
-        self.ensure(last.saturating_sub(1).max(first));
+        };
+        self.ensure(top);
         let per_ns_d = dram_bytes / dur_ns;
         let per_ns_p = pm_bytes / dur_ns;
         for bin in first..last {
@@ -158,9 +164,28 @@ impl BandwidthTimeline {
         }
     }
 
-    /// Advance the round clock by `dur_ns`.
-    pub fn advance(&mut self, dur_ns: f64) {
-        self.clock_ns += dur_ns;
+    /// The bins `[first, last)` an interval touches and the highest bin
+    /// it materialises; `None` when it is empty and records nothing.
+    fn span(&self, start_ns: f64, dur_ns: f64) -> Option<(usize, usize, usize)> {
+        if dur_ns <= 0.0 {
+            return None;
+        }
+        let first = (start_ns / self.bin_ns).floor() as usize;
+        let last = ((start_ns + dur_ns) / self.bin_ns).ceil() as usize;
+        Some((first, last, last.saturating_sub(1).max(first)))
+    }
+
+    /// Record one round: its tasks start together `migration_ns` after the
+    /// round clock, each moving its bytes over its own time, then the
+    /// clock advances by `round_time_ns`. The executor and the checkpoint
+    /// decoder both build timelines through this call only, so a rebuilt
+    /// timeline repeats the live float operations in the same order.
+    pub fn record_round(&mut self, migration_ns: f64, tasks: &[TaskResult], round_time_ns: f64) {
+        let start = self.clock_ns + migration_ns;
+        for t in tasks {
+            self.record_interval(start, t.time_ns, t.cost.dram_bytes, t.cost.pm_bytes);
+        }
+        self.clock_ns += round_time_ns;
     }
 
     /// Produce the sampled series (GB/s per bin; GB/s == bytes/ns).
@@ -187,34 +212,70 @@ impl BandwidthTimeline {
         avg(&self.pm_bytes, self.bin_ns)
     }
 
-    /// Serialize the timeline for a checkpoint (bin width, clock, every
-    /// bin's byte counters — `{:?}` floats round-trip bit-exact).
+    /// Serialize the timeline for a checkpoint: only the header line
+    /// `timeline <bin_ns> <clock_ns> <bins> <n_lost> <lost bins…>`. The
+    /// bins themselves are rebuilt from the checkpoint's completed rounds
+    /// by [`decode_state`](Self::decode_state).
     pub fn encode_state(&self, out: &mut String) {
         use std::fmt::Write as _;
-        writeln!(
+        write!(
             out,
-            "timeline {:?} {:?} {}",
+            "timeline {:?} {:?} {} {}",
             self.bin_ns,
             self.clock_ns,
-            self.dram_bytes.len()
+            self.dram_bytes.len(),
+            self.lost.len()
         )
         .expect("writing to String cannot fail");
-        for (d, p) in self.dram_bytes.iter().zip(&self.pm_bytes) {
-            writeln!(out, "bin {d:?} {p:?}").expect("writing to String cannot fail");
+        for bin in &self.lost {
+            write!(out, " {bin}").expect("writing to String cannot fail");
         }
+        out.push('\n');
     }
 
-    /// Restore a timeline serialized by [`encode_state`](Self::encode_state).
-    pub fn decode_state(r: &mut crate::checkpoint::Reader<'_>) -> Result<Self, HmError> {
-        use crate::checkpoint::{p_f64, p_usize};
-        let t = r.line("timeline", 3)?;
-        let (bin_ns, clock_ns, n) = (p_f64(t[0])?, p_f64(t[1])?, p_usize(t[2])?);
+    /// Restore a timeline serialized by [`encode_state`](Self::encode_state)
+    /// by replaying `rounds` (every round the timeline recorded, in order)
+    /// through [`record_round`](Self::record_round) and zeroing the lost
+    /// bins. A later round starts at or after the clock, so it never wrote
+    /// to an already-completed, possibly lost bin: zeroing at the end gives
+    /// the live bins bit for bit. The rebuilt clock bits and bin count must
+    /// equal the header's, and the rebuild never grows past the header's
+    /// bin count, so a corrupt duration cannot allocate without bound.
+    pub fn decode_state(
+        r: &mut crate::checkpoint::Reader<'_>,
+        rounds: &[RoundReport],
+    ) -> Result<Self, HmError> {
+        use crate::checkpoint::{corrupt, p_f64, p_usize};
+        let t = r.line("timeline", 4)?;
+        let (bin_ns, clock_ns) = (p_f64(t[0])?, p_f64(t[1])?);
+        let (bins, n_lost) = (p_usize(t[2])?, p_usize(t[3])?);
+        if t.len() - 4 != n_lost {
+            return Err(corrupt("timeline lost-bin count does not match its list"));
+        }
         let mut tl = Self::try_new(bin_ns)?;
-        tl.clock_ns = clock_ns;
-        for _ in 0..n {
-            let t = r.line("bin", 2)?;
-            tl.dram_bytes.push(p_f64(t[0])?);
-            tl.pm_bytes.push(p_f64(t[1])?);
+        for round in rounds {
+            let start = tl.clock_ns + round.migration_ns;
+            for task in &round.tasks {
+                if tl
+                    .span(start, task.time_ns)
+                    .is_some_and(|(_, _, top)| top >= bins)
+                {
+                    return Err(corrupt("a round reaches past the timeline's bin count"));
+                }
+            }
+            tl.record_round(round.migration_ns, &round.tasks, round.round_time_ns);
+        }
+        if tl.num_bins() != bins || tl.clock_ns.to_bits() != clock_ns.to_bits() {
+            return Err(corrupt(
+                "timeline header does not match the completed rounds",
+            ));
+        }
+        for tok in &t[4..] {
+            let bin = p_usize(tok)?;
+            if bin >= bins {
+                return Err(corrupt("lost timeline bin out of range"));
+            }
+            tl.blackout_bin(bin);
         }
         Ok(tl)
     }
@@ -272,8 +333,8 @@ mod tests {
     #[test]
     fn clock_advances() {
         let mut t = BandwidthTimeline::new(10.0);
-        t.advance(50.0);
-        t.advance(25.0);
+        t.record_round(0.0, &[], 50.0);
+        t.record_round(5.0, &[], 25.0);
         assert!((t.clock_ns - 75.0).abs() < 1e-12);
     }
 

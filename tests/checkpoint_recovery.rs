@@ -1,7 +1,8 @@
 //! Checkpoint/restart properties: crash → restore → replay must reproduce
 //! the uninterrupted run bit for bit, across apps, seeds, fault plans and
-//! crash points (round boundaries and mid-migration-batch), and the policy
-//! state blob must round-trip losslessly.
+//! crash points (round boundaries and mid-migration-batch), the policy
+//! state blob must round-trip losslessly, and the bandwidth timeline a
+//! checkpoint rebuilds from its completed rounds must equal the live one.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -12,7 +13,9 @@ use merchandiser_suite::core::policy::MerchandiserPolicy;
 use merchandiser_suite::hm::page::PAGE_SIZE;
 use merchandiser_suite::hm::runtime::{Executor, PlacementPolicy, WatchdogConfig};
 use merchandiser_suite::hm::workload::testutil::SkewedWorkload;
-use merchandiser_suite::hm::{CrashPoint, FaultKind, FaultPlan, HmConfig, HmSystem, Wal};
+use merchandiser_suite::hm::{
+    Checkpoint, CrashPoint, FaultKind, FaultPlan, HmConfig, HmSystem, Wal,
+};
 use merchandiser_suite::models::{GradientBoostedRegressor, Regressor};
 use merchandiser_suite::patterns::ObjectPatternMap;
 
@@ -251,5 +254,101 @@ fn watchdog_off_by_default() {
     for r in &report.rounds {
         assert_eq!(r.straggler_events, 0);
         assert_eq!(r.watchdog_pages, 0);
+    }
+}
+
+/// Step `ex` to the end; at every round boundary (the first included) the
+/// timeline decoded from the encoded checkpoint must `{:?}`-equal the live
+/// one, and the payload must carry no `bin` line.
+fn assert_timeline_rebuilds_at_every_boundary<W, P>(ex: &mut Executor<W, P>)
+where
+    W: merchandiser_suite::hm::workload::Workload,
+    P: PlacementPolicy + Sync,
+{
+    loop {
+        let text = ex.checkpoint().encode();
+        assert!(
+            !text.lines().any(|l| l.starts_with("bin ")),
+            "round {}: a checkpoint carries no timeline bins",
+            ex.next_round()
+        );
+        let back = Checkpoint::decode(&text).unwrap();
+        assert_eq!(
+            format!("{:?}", back.timeline),
+            format!("{:?}", ex.timeline),
+            "round {}",
+            ex.next_round()
+        );
+        if ex.step().unwrap().is_none() {
+            break;
+        }
+    }
+}
+
+fn long_app() -> SkewedWorkload {
+    SkewedWorkload {
+        tasks: 3,
+        rounds: 8,
+        base_accesses: 4e5,
+        obj_bytes: 32 * PAGE_SIZE,
+    }
+}
+
+/// The timeline rebuilt from the completed rounds equals the live one under
+/// telemetry blackouts, a tenant stall and the straggler watchdog.
+#[test]
+fn timeline_rebuilds_from_completed_rounds_at_every_boundary() {
+    let seed = 17;
+    let plans = [
+        FaultPlan::none().with_seed(seed),
+        FaultPlan::none()
+            .with_seed(seed)
+            .with_telemetry_blackout(0.5),
+        FaultPlan::none()
+            .with_seed(seed)
+            .with_tenant_stall(2, 3)
+            .with_telemetry_blackout(0.3),
+        FaultPlan::none()
+            .with_seed(seed)
+            .with_migration_failures(0.2, 2)
+            .with_telemetry_blackout(0.4),
+    ];
+    let mut lost = 0;
+    for plan in &plans {
+        for watchdog in [None, Some(WatchdogConfig { slack: 0.05 })] {
+            let mut ex = Executor::new(system(plan, seed), long_app(), policy(seed));
+            if let Some(wd) = watchdog {
+                ex = ex.with_watchdog(wd);
+            }
+            assert_timeline_rebuilds_at_every_boundary(&mut ex);
+            lost += ex.report().fault.blacked_out_bins;
+        }
+    }
+    assert!(lost > 0, "the blackout plans must lose bins");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The same over random fault plans, stall windows and seeds.
+    #[test]
+    fn timeline_rebuild_is_exact_under_random_plans(
+        base in arb_base_plan(),
+        blackout in 0.0f64..0.6,
+        stall in any::<bool>(),
+        stall_round in 0u64..6,
+        stall_rounds in 1u64..4,
+        watchdog in any::<bool>(),
+        seed in 0u64..1000,
+    ) {
+        let mut plan = base.with_telemetry_blackout(blackout);
+        if stall {
+            plan = plan.with_tenant_stall(stall_round, stall_rounds);
+        }
+        let mut ex = Executor::new(system(&plan, seed), long_app(), policy(seed));
+        if watchdog {
+            ex = ex.with_watchdog(WatchdogConfig { slack: 0.05 });
+        }
+        assert_timeline_rebuilds_at_every_boundary(&mut ex);
     }
 }

@@ -62,7 +62,8 @@ fn valid() -> &'static Valid {
         let plan = FaultPlan::none()
             .with_seed(3)
             .with_migration_failures(0.2, 2)
-            .with_page_poison(0.05);
+            .with_page_poison(0.05)
+            .with_telemetry_blackout(0.5);
         let mut sys = HmSystem::new(HmConfig::calibrated(24 * PAGE_SIZE, 1024 * PAGE_SIZE), 5);
         sys.set_fault_plan(plan).unwrap();
         let app = SkewedWorkload {
@@ -199,7 +200,7 @@ proptest! {
 // errors, never a capacity-overflow panic or an out-of-memory abort.
 
 /// `text` with token `i` (after the tag) of its first `tag` line set to `n`.
-fn with_token(text: &str, tag: &str, i: usize, n: u64) -> String {
+fn with_token(text: &str, tag: &str, i: usize, n: impl std::fmt::Display) -> String {
     let mut done = false;
     let mut out = String::new();
     for line in text.lines() {
@@ -263,6 +264,55 @@ fn huge_object_count_is_corrupt() {
 #[test]
 fn huge_bin_count_is_corrupt() {
     checkpoint_count_rejected("timeline", 2);
+}
+
+#[test]
+fn huge_lost_bin_count_is_corrupt() {
+    checkpoint_count_rejected("timeline", 3);
+}
+
+/// Token `i` (after the tag) of the valid checkpoint's first `tag` line.
+fn checkpoint_token(tag: &str, i: usize) -> &'static str {
+    let line = valid()
+        .checkpoint
+        .lines()
+        .find(|l| l.split_whitespace().next() == Some(tag))
+        .unwrap();
+    line.split_whitespace().nth(i + 1).unwrap()
+}
+
+#[test]
+fn lost_bin_past_the_bin_count_is_corrupt() {
+    let bins: u64 = checkpoint_token("timeline", 2).parse().unwrap();
+    assert_ne!(checkpoint_token("timeline", 3), "0", "the run lost bins");
+    for bin in [bins, bins + 1, u64::MAX] {
+        assert_corrupt(Checkpoint::decode(&with_token(
+            &valid().checkpoint,
+            "timeline",
+            4,
+            bin,
+        )));
+    }
+}
+
+/// The timeline is rebuilt from the rounds, so a round that disagrees with
+/// the header is caught: a longer round moves the rebuilt clock off the
+/// header's, and a task stretched past the header's bins is rejected before
+/// the rebuild allocates for it.
+#[test]
+fn rounds_that_disagree_with_the_timeline_are_corrupt() {
+    let round_time: f64 = checkpoint_token("round", 10).parse().unwrap();
+    let longer = format!("{:?}", round_time + 1.0);
+    assert_corrupt(Checkpoint::decode(&with_token(
+        &valid().checkpoint,
+        "round",
+        10,
+        longer,
+    )));
+    for time in ["1e300", "inf"] {
+        let text = with_token(&valid().checkpoint, "task", 1, time);
+        assert_corrupt(Checkpoint::decode(&text));
+    }
 }
 
 #[test]
@@ -356,7 +406,7 @@ fn frame_length_inside_a_multibyte_char_does_not_panic() {
 
 #[test]
 fn non_utf8_record_mid_file_is_skipped() {
-    let bad = frame(b"merchckpt 6\n\xff\n");
+    let bad = frame(b"merchckpt 7\n\xff\n");
     let (round, warning) = recover_with_tail(&bad);
     assert_eq!(round, last_round());
     assert!(warning.is_none(), "a framed record is skipped, not a tail");

@@ -5,7 +5,7 @@
 //! concurrent tenant-round executor (DESIGN.md §16) reproduces the serial
 //! DRR loop bit for bit at every job count, and fault containment
 //! (DESIGN.md §17) keeps a panicking tenant's breaker trip invisible to
-//! survivors while its state round-trips through the v6 checkpoint frame.
+//! survivors while its state round-trips through the checkpoint frame.
 
 use proptest::prelude::*;
 
@@ -315,7 +315,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Breaker persistence (DESIGN.md §17): any reachable breaker frame —
-    /// driven by a random strike/success/open history — survives the v6
+    /// driven by a random strike/success/open history — survives the
     /// checkpoint frame bit-identically, and the restored executor replays
     /// its remaining rounds bit for bit.
     #[test]
