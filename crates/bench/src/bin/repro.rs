@@ -74,13 +74,9 @@ fn main() {
             "--jobs" => {
                 match it.next().and_then(|s| s.parse::<usize>().ok()) {
                     Some(n) if n >= 1 => {
-                        merch_bench::par::set_sweep_jobs(n);
-                        // The page engine's sharded round phases honour the
-                        // same worker count as the sweep pool.
-                        merch_hm::set_engine_jobs(n);
-                        // And the unified scheduler itself: tenant rounds
-                        // in `serve` run concurrently at --jobs >= 2, on
-                        // the same pool the sweeps and shard phases use.
+                        // One pool runs sweep cells, tenant rounds (which
+                        // `serve` runs concurrently at --jobs >= 2) and the
+                        // page engine's shard phases.
                         merch_sched::set_pool_jobs(n);
                     }
                     _ => {

@@ -3,7 +3,6 @@
 
 pub mod experiments;
 pub mod par;
-pub mod replay;
 pub mod scenario;
 pub mod stats;
 

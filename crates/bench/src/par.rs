@@ -23,28 +23,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// 0 = auto (one worker per available core).
-static SWEEP_JOBS: AtomicUsize = AtomicUsize::new(0);
-
-/// Serialises tests that mutate the process-global `SWEEP_JOBS`.
+/// Serialises tests that set the process-global pool job count.
 #[cfg(test)]
 pub(crate) static JOBS_LOCK: Mutex<()> = Mutex::new(());
-
-/// Override the sweep worker count (`repro --jobs N`). `0` restores the
-/// auto setting; `1` forces a sequential sweep.
-pub fn set_sweep_jobs(n: usize) {
-    SWEEP_JOBS.store(n, Ordering::SeqCst);
-}
-
-/// Effective sweep worker count.
-pub fn sweep_jobs() -> usize {
-    match SWEEP_JOBS.load(Ordering::SeqCst) {
-        0 => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        n => n,
-    }
-}
 
 /// Best-effort extraction of a panic payload's message (`panic!` with a
 /// format string yields `String`, with a literal yields `&str`). Shared
@@ -85,7 +66,7 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    let jobs = sweep_jobs().min(items.len());
+    let jobs = merch_sched::pool_jobs().min(items.len());
     if jobs <= 1 {
         let mut done: Vec<Option<R>> = Vec::with_capacity(items.len());
         for (i, item) in items.into_iter().enumerate() {
@@ -209,18 +190,18 @@ mod tests {
     #[test]
     fn jobs_override_roundtrips() {
         let _g = JOBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        set_sweep_jobs(1);
-        assert_eq!(sweep_jobs(), 1);
+        merch_sched::set_pool_jobs(1);
+        assert_eq!(merch_sched::pool_jobs(), 1);
         let out = par_map(vec![1u32, 2, 3], |i| i * i);
         assert_eq!(out, vec![1, 4, 9]);
-        set_sweep_jobs(0);
-        assert!(sweep_jobs() >= 1);
+        merch_sched::set_pool_jobs(0);
+        assert!(merch_sched::pool_jobs() >= 1);
     }
 
     #[test]
     fn pool_panic_names_the_failing_cell() {
         let _g = JOBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        set_sweep_jobs(4);
+        merch_sched::set_pool_jobs(4);
         let r = catch_unwind(|| {
             par_map((0u32..8).collect(), |i| {
                 if i == 5 {
@@ -229,7 +210,7 @@ mod tests {
                 i
             })
         });
-        set_sweep_jobs(0);
+        merch_sched::set_pool_jobs(0);
         let msg = payload_msg(r.expect_err("the cell panic must propagate").as_ref());
         assert!(msg.contains("sweep cell 5 panicked"), "{msg}");
         assert!(msg.contains("boom 5"), "{msg}");
@@ -238,14 +219,14 @@ mod tests {
     #[test]
     fn try_par_map_returns_completed_prefix_sequentially() {
         let _g = JOBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        set_sweep_jobs(1);
+        merch_sched::set_pool_jobs(1);
         let r = try_par_map((0u32..8).collect(), |i| {
             if i == 5 {
                 panic!("boom {i}");
             }
             i * 10
         });
-        set_sweep_jobs(0);
+        merch_sched::set_pool_jobs(0);
         let (done, abort) = r.expect_err("cell 5 must abort the sweep");
         assert_eq!(abort.cell, 5);
         assert_eq!(abort.message, "boom 5");
@@ -257,14 +238,14 @@ mod tests {
     #[test]
     fn try_par_map_pool_abort_names_cell_and_keeps_finished_cells() {
         let _g = JOBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        set_sweep_jobs(4);
+        merch_sched::set_pool_jobs(4);
         let r = try_par_map((0u32..32).collect(), |i| {
             if i == 9 {
                 panic!("kaboom");
             }
             i
         });
-        set_sweep_jobs(0);
+        merch_sched::set_pool_jobs(0);
         let (done, abort) = r.expect_err("cell 9 must abort the sweep");
         assert_eq!(abort.cell, 9);
         assert_eq!(abort.message, "kaboom");
@@ -292,7 +273,7 @@ mod tests {
     #[test]
     fn sequential_panic_names_the_failing_cell() {
         let _g = JOBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        set_sweep_jobs(1);
+        merch_sched::set_pool_jobs(1);
         let r = catch_unwind(|| {
             par_map(vec![1u32, 2], |i| {
                 if i == 2 {
@@ -301,7 +282,7 @@ mod tests {
                 i
             })
         });
-        set_sweep_jobs(0);
+        merch_sched::set_pool_jobs(0);
         let msg = payload_msg(r.expect_err("the cell panic must propagate").as_ref());
         assert!(msg.contains("sweep cell 1 panicked"), "{msg}");
         assert!(msg.contains("kapow"), "{msg}");

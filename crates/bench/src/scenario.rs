@@ -41,24 +41,25 @@
 //!   strictly by priority, service time summing to the virtual clock.
 //!
 //! A failing scenario is shrunk over its solo leg's fault axes and written
-//! as a `merchscenario 1` reproducer; `repro --replay FILE <suite>` runs it
+//! as a `merchscenario 2` reproducer; `repro --replay FILE <suite>` runs it
 //! back.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use merch_hm::checkpoint::{Fields, Put, Reader};
 use merch_hm::fault::STALL_MULT;
 use merch_hm::runtime::{Executor, RoundReport, RunReport};
 use merch_hm::service::{
     PlacementService, Renegotiation, ServiceConfig, ServiceReport, ShedReason, TenantId, TenantJob,
     TenantSpec, TenantStatus,
 };
+use merch_hm::system::HmError;
 use merch_hm::{CrashPoint, FaultKind, FaultPlan, HmSystem, Tier, Wal, PAGE_SIZE};
 use merchandiser::PerformanceModel;
 
 use crate::experiments::{executor, parts, AppKind, PolicyKind};
 use crate::par::{par_map, try_par_map};
-use crate::replay::{FramedReader, Record, SCENARIO_VERSION};
 
 /// splitmix64 finalizer: the seeded-draw idiom behind every generator.
 fn mix64(mut z: u64) -> u64 {
@@ -269,14 +270,17 @@ pub enum VictimFault {
 }
 
 impl VictimFault {
+    /// The scripted fault.
+    fn kind(self) -> FaultKind {
+        match self {
+            VictimFault::Panic { round } => FaultKind::TenantPanic { round },
+            VictimFault::Stall { round, rounds } => FaultKind::TenantStall { round, rounds },
+        }
+    }
+
     /// The victim's fault plan.
     pub(crate) fn plan(self) -> FaultPlan {
-        match self {
-            VictimFault::Panic { round } => FaultPlan::none().with_tenant_panic(round),
-            VictimFault::Stall { round, rounds } => {
-                FaultPlan::none().with_tenant_stall(round, rounds)
-            }
-        }
+        FaultPlan::none().with_fault(self.kind())
     }
 
     /// Short display: `panic@R` or `stall@RxN`.
@@ -336,12 +340,10 @@ impl Tenant {
             .with_deadline_ns(deadline_ns)
     }
 
-    fn encode_line(&self) -> String {
-        let chaos = self
-            .chaos_case
-            .map_or_else(|| "-".to_string(), |c| c.to_string());
-        format!(
-            "tenant {} {} {} {} {} {} {} {} {:?} {chaos}",
+    /// Append the `tenant` record.
+    fn encode(&self, out: &mut String) {
+        out.put(format_args!(
+            "tenant {} {} {} {} {} {} {} {} {:?} ",
             self.name,
             self.app.name(),
             self.policy.name(),
@@ -351,7 +353,35 @@ impl Tenant {
             self.quota_pages,
             self.min_quota_pages,
             self.deadline_ms
-        )
+        ));
+        match self.chaos_case {
+            None => out.push_str("-\n"),
+            Some(c) => out.put(format_args!("{c}\n")),
+        }
+    }
+
+    /// Read a `tenant` record; its contract must validate.
+    fn decode(mut t: Fields<'_>) -> Result<Self, HmError> {
+        let tenant = Tenant {
+            name: t.token("name")?.to_string(),
+            app: lookup(&mut t, "app", apps())?,
+            policy: lookup(&mut t, "policy", TENANT_POLICIES.map(|p| (p.name(), p)))?,
+            seed: t.next("seed")?,
+            weight: t.next("weight")?,
+            priority: t.next("priority")?,
+            quota_pages: page_count(&mut t, "quota_pages")?,
+            min_quota_pages: page_count(&mut t, "min_quota_pages")?,
+            deadline_ms: t.next("deadline_ms")?,
+            chaos_case: match t.peek() {
+                Some("-") => None,
+                _ => Some(t.next("chaos_case")?),
+            },
+        };
+        tenant
+            .spec()
+            .validate()
+            .map_err(|e| t.invalid("tenant", e))?;
+        Ok(tenant)
     }
 }
 
@@ -1465,8 +1495,60 @@ pub fn reproducer(outcome: &Outcome, model: &PerformanceModel) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// The `merchscenario 1` reproducer format.
+// The `merchscenario 2` reproducer format.
 // ---------------------------------------------------------------------------
+
+/// The one reproducer format version this build reads and writes.
+pub const SCENARIO_VERSION: u32 = 2;
+
+/// Why a reproducer file failed to open.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ReplayError {
+    /// The file is not a readable scenario: a missing or wrong header, or
+    /// a record that names its line, tag and field.
+    Malformed(String),
+    /// The magic matched but the declared version is one this build does
+    /// not read: the file is genuine, just from a different format epoch.
+    UnsupportedVersion {
+        /// Artifact kind, for prose ("scenario").
+        kind: &'static str,
+        /// The magic that matched ("merchscenario").
+        magic: String,
+        /// 1-based line of the header.
+        line_no: usize,
+        /// The version the file declared.
+        observed: u32,
+    },
+}
+
+impl std::fmt::Display for ReplayError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ReplayError::Malformed(msg) => f.write_str(msg),
+            ReplayError::UnsupportedVersion {
+                kind,
+                magic,
+                line_no,
+                observed,
+            } => write!(
+                f,
+                "{kind} line {line_no}: unsupported {magic} version {observed} \
+                 (this build reads {SCENARIO_VERSION})"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ReplayError {}
+
+impl From<HmError> for ReplayError {
+    fn from(e: HmError) -> Self {
+        match e {
+            HmError::CheckpointCorrupt(msg) => ReplayError::Malformed(msg),
+            other => ReplayError::Malformed(other.to_string()),
+        }
+    }
+}
 
 /// Policies a tenant record may name.
 const TENANT_POLICIES: [PolicyKind; 5] = [
@@ -1478,87 +1560,72 @@ const TENANT_POLICIES: [PolicyKind; 5] = [
 ];
 
 impl Scenario {
-    /// Serialize as a `merchscenario 1` file.
+    /// Serialize as a `merchscenario 2` file. The solo leg's `faults`
+    /// record is [`FaultPlan::encode`] of its armed plan (the scripted
+    /// crash is its fault token), and a victim is its [`FaultKind`] tokens.
     pub fn encode(&self) -> String {
-        let mut lines = vec![
-            format!("merchscenario {SCENARIO_VERSION}"),
-            format!("suite {}", self.suite.name()),
-            format!("label {}", self.label),
-        ];
+        let mut out = String::new();
+        out.put(format_args!(
+            "merchscenario {SCENARIO_VERSION}\nsuite {}\nlabel {}\n",
+            self.suite.name(),
+            self.label
+        ));
         match &self.solo {
-            None => lines.push("solo none".to_string()),
+            None => out.push_str("solo none\n"),
             Some(s) => {
-                let crash = match s.crash {
-                    None => "none".to_string(),
-                    Some(Crash {
-                        round,
-                        point: CrashPoint::BetweenRounds,
-                    }) => format!("boundary {round}"),
-                    Some(Crash {
-                        round,
-                        point: CrashPoint::MidMigration { after_attempts },
-                    }) => format!("midmig {round} {after_attempts}"),
-                };
-                let p = &s.plan;
-                lines.push(format!("solo {} {} {crash}", s.app.name(), s.seed));
-                lines.push(format!(
-                    "faults {} {:?} {} {:?} {:?} {} {} {:?}",
-                    p.seed,
-                    p.migration_fail_rate,
-                    p.migration_max_retries,
-                    p.pte_sample_dropout,
-                    p.pmc_event_dropout,
-                    p.dram_pressure_bytes,
-                    p.pressure_period_rounds,
-                    p.telemetry_blackout
-                ));
-                lines.push(format!(
-                    "device {:?} {:?} {} {:?} {:?} {} {}",
-                    p.page_poison_rate,
-                    p.degrade_tier,
-                    p.degrade_period_rounds,
-                    p.degrade_lat_mult,
-                    p.degrade_bw_mult,
-                    p.offline_round,
-                    p.offline_bytes
-                ));
+                out.put(format_args!("solo {} {}\nfaults ", s.app.name(), s.seed));
+                s.armed_plan().encode(&mut out);
+                out.push('\n');
             }
         }
-        match &self.service {
-            None => lines.push("service none".to_string()),
-            Some(s) => {
-                lines.push(format!(
-                    "service {} {} {}",
-                    s.seed, s.pool_pages, s.queue_bound
-                ));
-                lines.push(match s.offline {
-                    None => "offline none".to_string(),
-                    Some((pages, after)) => format!("offline {pages} {after}"),
-                });
-                lines.push(match s.victim {
-                    None => "victim none".to_string(),
-                    Some((i, VictimFault::Panic { round })) => format!("victim {i} panic {round}"),
-                    Some((i, VictimFault::Stall { round, rounds })) => {
-                        format!("victim {i} stall {round} {rounds}")
-                    }
-                });
-                lines.push(format!("tenants {}", s.tenants.len()));
-                lines.extend(s.tenants.iter().map(Tenant::encode_line));
+        let Some(s) = &self.service else {
+            out.push_str("service none\n");
+            return out;
+        };
+        out.put(format_args!(
+            "service {} {} {}\n",
+            s.seed, s.pool_pages, s.queue_bound
+        ));
+        match s.offline {
+            None => out.push_str("offline none\n"),
+            Some((pages, after)) => out.put(format_args!("offline {pages} {after}\n")),
+        }
+        match s.victim {
+            None => out.push_str("victim none\n"),
+            Some((i, fault)) => {
+                out.put(format_args!("victim {i} "));
+                fault.kind().encode(&mut out);
+                out.push('\n');
             }
         }
-        lines.join("\n") + "\n"
+        out.put(format_args!("tenants {}\n", s.tenants.len()));
+        for t in &s.tenants {
+            t.encode(&mut out);
+        }
+        out
     }
 
     /// Parse a file written by [`encode`](Self::encode). `#` comments and
-    /// blank lines are skipped. Malformed files, out-of-range values (a
-    /// plan that does not validate, an invalid tenant contract, a page
-    /// count whose byte size overflows) and legs the named suite never
-    /// generates fail with a line/field diagnostic.
-    pub fn decode(text: &str) -> Result<Self, String> {
-        let mut r = FramedReader::new("scenario", text, "merchscenario")?;
+    /// blank lines are skipped. Only [`SCENARIO_VERSION`] is read. Malformed
+    /// files, out-of-range values (a plan that does not validate, an
+    /// invalid tenant contract, a page count whose byte size overflows),
+    /// fault tokens of the wrong kind and legs the named suite never
+    /// generates fail with a line/tag/field diagnostic.
+    pub fn decode(text: &str) -> Result<Self, ReplayError> {
+        let mut r = Reader::commented("scenario", text);
+        let mut c = r.line("merchscenario")?;
+        let version: u32 = c.next("version")?;
+        if version != SCENARIO_VERSION {
+            return Err(ReplayError::UnsupportedVersion {
+                kind: "scenario",
+                magic: "merchscenario".to_string(),
+                line_no: c.line_no(),
+                observed: version,
+            });
+        }
         let suites = Suite::ALL.map(|s| (s.name(), s));
-        let suite = lookup(&r.record("suite", 1)?, 0, "suite", suites)?;
-        let label = r.record("label", 1)?.tok(0, "label")?.to_string();
+        let suite = lookup(&mut r.line("suite")?, "suite", suites)?;
+        let label = r.line("label")?.token("label")?.to_string();
         let solo = decode_solo(&mut r, suite)?;
         let service = decode_service(&mut r, suite)?;
         r.finish()?;
@@ -1571,99 +1638,69 @@ impl Scenario {
     }
 }
 
-/// Token `i` of `rec`, looked up by name among `options`.
+/// The next token of `c`, looked up by name among `options`.
 fn lookup<T>(
-    rec: &Record<'_>,
-    i: usize,
+    c: &mut Fields<'_>,
     field: &str,
     options: impl IntoIterator<Item = (&'static str, T)>,
-) -> Result<T, String> {
-    let tok = rec.tok(i, field)?;
+) -> Result<T, HmError> {
+    let tok = c.token(field)?;
     (options.into_iter())
         .find(|(name, _)| *name == tok)
         .map(|(_, v)| v)
-        .ok_or_else(|| rec.invalid(field, format!("unknown {field} `{tok}`")))
+        .ok_or_else(|| c.invalid(field, format_args!("unknown {field} `{tok}`")))
 }
 
 fn apps() -> [(&'static str, AppKind); 5] {
     AppKind::all().map(|a| (a.name(), a))
 }
 
-/// `pages` must have a byte size.
-fn page_bytes(rec: &Record<'_>, pages: u64, field: &str) -> Result<u64, String> {
-    (pages.checked_mul(PAGE_SIZE))
-        .ok_or_else(|| rec.invalid(field, format!("{pages} pages overflow a byte count")))
+/// The next token of `c`: a page count that must have a byte size.
+fn page_count(c: &mut Fields<'_>, field: &str) -> Result<u64, HmError> {
+    let pages: u64 = c.next(field)?;
+    match pages.checked_mul(PAGE_SIZE) {
+        Some(_) => Ok(pages),
+        None => Err(c.invalid(field, format_args!("{pages} pages overflow a byte count"))),
+    }
 }
 
 /// Reject a part (`tag`) that a `suite` scenario never has, or the lack of
 /// one it always has: the suite's gates for it would silently not run.
 fn expect_part(
-    rec: &Record<'_>,
+    c: &Fields<'_>,
     suite: Suite,
     tag: &str,
     present: bool,
     wanted: bool,
-) -> Result<(), String> {
+) -> Result<(), HmError> {
     if present == wanted {
         return Ok(());
     }
     let verb = if wanted { "cannot" } else { "must" };
     let name = suite.name();
-    Err(rec.invalid(tag, format!("a `{name}` scenario {verb} have `{tag} none`")))
+    Err(c.invalid(
+        tag,
+        format_args!("a `{name}` scenario {verb} have `{tag} none`"),
+    ))
 }
 
-fn decode_solo(r: &mut FramedReader<'_>, suite: Suite) -> Result<Option<Solo>, String> {
-    let s = r.record("solo", 1)?;
-    let present = s.tok(0, "app")? != "none";
-    expect_part(
-        &s,
-        suite,
-        "solo",
-        present,
-        matches!(suite, Suite::Soak | Suite::Device),
-    )?;
+fn decode_solo(r: &mut Reader<'_>, suite: Suite) -> Result<Option<Solo>, HmError> {
+    let mut c = r.line("solo")?;
+    let present = c.peek() != Some("none");
+    let wanted = matches!(suite, Suite::Soak | Suite::Device);
+    expect_part(&c, suite, "solo", present, wanted)?;
     if !present {
         return Ok(None);
     }
-    let app = lookup(&s, 0, "app", apps())?;
-    let seed = s.parse(1, "seed")?;
-    let crash = match s.tok(2, "crash")? {
-        "none" => None,
-        "boundary" => Some(Crash {
-            round: s.parse(3, "crash_round")?,
-            point: CrashPoint::BetweenRounds,
-        }),
-        "midmig" => Some(Crash {
-            round: s.parse(3, "crash_round")?,
-            point: CrashPoint::MidMigration {
-                after_attempts: s.parse(4, "after_attempts")?,
-            },
-        }),
-        other => return Err(s.invalid("crash", format!("unknown crash `{other}`"))),
+    let app = lookup(&mut c, "app", apps())?;
+    let seed = c.next("seed")?;
+    let mut f = r.line("faults")?;
+    let mut plan = FaultPlan::decode(&mut f)?;
+    let crash = match plan.crash.take() {
+        None => None,
+        Some(FaultKind::Crash { round, point }) => Some(Crash { round, point }),
+        Some(_) => return Err(f.invalid("fault", "a solo crash is `boundary` or `midmig`")),
     };
-    let f = r.record("faults", 8)?;
-    let plan = FaultPlan::none()
-        .with_seed(f.parse(0, "plan_seed")?)
-        .with_migration_failures(f.parse(1, "fail_rate")?, f.parse(2, "retries")?)
-        .with_sample_dropout(f.parse(3, "pte_dropout")?, f.parse(4, "pmc_dropout")?)
-        .with_dram_pressure(
-            f.parse(5, "pressure_bytes")?,
-            f.parse(6, "pressure_period")?,
-        )
-        .with_telemetry_blackout(f.parse(7, "blackout")?);
-    plan.validate().map_err(|e| f.invalid("faults", e))?;
-    let d = r.record("device", 7)?;
-    let tiers = [("Pm", Tier::Pm), ("Dram", Tier::Dram)];
-    let plan = plan
-        .with_page_poison(d.parse(0, "poison_rate")?)
-        .with_degradation(
-            lookup(&d, 1, "degrade_tier", tiers)?,
-            d.parse(2, "degrade_period")?,
-            d.parse(3, "degrade_lat_mult")?,
-            d.parse(4, "degrade_bw_mult")?,
-        )
-        .with_dram_offlining(d.parse(5, "offline_round")?, d.parse(6, "offline_bytes")?);
-    plan.validate().map_err(|e| d.invalid("device", e))?;
     Ok(Some(Solo {
         app,
         seed,
@@ -1672,66 +1709,50 @@ fn decode_solo(r: &mut FramedReader<'_>, suite: Suite) -> Result<Option<Solo>, S
     }))
 }
 
-fn decode_service(r: &mut FramedReader<'_>, suite: Suite) -> Result<Option<Service>, String> {
-    let s = r.record("service", 1)?;
-    let present = s.tok(0, "seed")? != "none";
-    expect_part(&s, suite, "service", present, suite != Suite::Soak)?;
+fn decode_service(r: &mut Reader<'_>, suite: Suite) -> Result<Option<Service>, HmError> {
+    let mut c = r.line("service")?;
+    let present = c.peek() != Some("none");
+    expect_part(&c, suite, "service", present, suite != Suite::Soak)?;
     if !present {
         return Ok(None);
     }
-    let seed = s.parse(0, "seed")?;
-    let pool_pages = s.parse(1, "pool_pages")?;
-    page_bytes(&s, pool_pages, "pool_pages")?;
-    let queue_bound = s.parse(2, "queue_bound")?;
-    let o = r.record("offline", 1)?;
-    let offline = match o.tok(0, "pages")? {
-        "none" => None,
-        _ => {
-            let pages = o.parse(0, "pages")?;
-            page_bytes(&o, pages, "pages")?;
-            Some((pages, o.parse(1, "after_steps")?))
-        }
+    let seed = c.next("seed")?;
+    let pool_pages = page_count(&mut c, "pool_pages")?;
+    let queue_bound = c.next("queue_bound")?;
+    let mut o = r.line("offline")?;
+    let offline = match o.peek() {
+        Some("none") => None,
+        _ => Some((page_count(&mut o, "pages")?, o.next("after_steps")?)),
     };
-    expect_part(
-        &o,
-        suite,
-        "offline",
-        offline.is_some(),
-        suite == Suite::Device,
-    )?;
-    let v = r.record("victim", 1)?;
-    let victim = match v.tok(0, "victim")? {
-        "none" => None,
+    let wanted = suite == Suite::Device;
+    expect_part(&o, suite, "offline", offline.is_some(), wanted)?;
+    let mut v = r.line("victim")?;
+    let victim = match v.peek() {
+        Some("none") => None,
         _ => {
-            let fault = match v.tok(1, "fault")? {
-                "panic" => VictimFault::Panic {
-                    round: v.parse(2, "round")?,
-                },
-                "stall" => VictimFault::Stall {
-                    round: v.parse(2, "round")?,
-                    rounds: v.parse(3, "rounds")?,
-                },
-                other => return Err(v.invalid("fault", format!("unknown fault `{other}`"))),
+            let i: usize = v.next("victim")?;
+            let fault = match FaultKind::decode(&mut v)? {
+                Some(FaultKind::TenantPanic { round }) => VictimFault::Panic { round },
+                Some(FaultKind::TenantStall { round, rounds }) => {
+                    VictimFault::Stall { round, rounds }
+                }
+                _ => return Err(v.invalid("fault", "a victim fault is `panic` or `stall`")),
             };
-            Some((v.parse(0, "victim")?, fault))
+            Some((i, fault))
         }
     };
-    expect_part(
-        &v,
-        suite,
-        "victim",
-        victim.is_some(),
-        suite == Suite::Contain,
-    )?;
+    let wanted = suite == Suite::Contain;
+    expect_part(&v, suite, "victim", victim.is_some(), wanted)?;
     // The count is untrusted: no pre-reservation, so a huge value fails on
     // the first missing `tenant` record instead of aborting.
-    let n: u64 = r.record("tenants", 1)?.parse(0, "tenants")?;
+    let n: u64 = r.line("tenants")?.next("tenants")?;
     let mut tenants = Vec::new();
     for _ in 0..n {
-        tenants.push(decode_tenant(&r.record("tenant", 10)?)?);
+        tenants.push(Tenant::decode(r.line("tenant")?)?);
     }
     if let Some((i, _)) = victim.filter(|&(i, _)| i >= tenants.len()) {
-        return Err(v.invalid("victim", format!("index {i} out of range for {n} tenants")));
+        let what = format_args!("index {i} out of range for {n} tenants");
+        return Err(v.invalid("victim", what));
     }
     Ok(Some(Service {
         seed,
@@ -1741,32 +1762,6 @@ fn decode_service(r: &mut FramedReader<'_>, suite: Suite) -> Result<Option<Servi
         offline,
         victim,
     }))
-}
-
-fn decode_tenant(t: &Record<'_>) -> Result<Tenant, String> {
-    let chaos_case = match t.tok(9, "chaos_case")? {
-        "-" => None,
-        _ => Some(t.parse(9, "chaos_case")?),
-    };
-    let tenant = Tenant {
-        name: t.tok(0, "name")?.to_string(),
-        app: lookup(t, 1, "app", apps())?,
-        policy: lookup(t, 2, "policy", TENANT_POLICIES.map(|p| (p.name(), p)))?,
-        seed: t.parse(3, "seed")?,
-        weight: t.parse(4, "weight")?,
-        priority: t.parse(5, "priority")?,
-        quota_pages: t.parse(6, "quota_pages")?,
-        min_quota_pages: t.parse(7, "min_quota_pages")?,
-        deadline_ms: t.parse(8, "deadline_ms")?,
-        chaos_case,
-    };
-    page_bytes(t, tenant.quota_pages, "quota_pages")?;
-    page_bytes(t, tenant.min_quota_pages, "min_quota_pages")?;
-    tenant
-        .spec()
-        .validate()
-        .map_err(|e| t.invalid("tenant", e))?;
-    Ok(tenant)
 }
 
 #[cfg(test)]
@@ -1901,9 +1896,9 @@ mod tests {
             }
         };
         for jobs in [1, 3] {
-            crate::par::set_sweep_jobs(jobs);
+            merch_sched::set_pool_jobs(jobs);
             let out = run_cells(scns.clone(), fake);
-            crate::par::set_sweep_jobs(0);
+            merch_sched::set_pool_jobs(0);
             let labels: Vec<&str> = out.iter().map(|o| o.scenario.label.as_str()).collect();
             assert_eq!(labels, ["0", "1", "2", "3", "4", "5"], "jobs {jobs}");
             let panic = &out[2].violations;
@@ -1993,19 +1988,32 @@ mod tests {
         let soak = first(Suite::Soak);
         let app = soak.solo.as_ref().unwrap().app.name();
         let device = first(Suite::Device);
-        let tier = format!(" {:?} ", device.solo.as_ref().unwrap().plan.degrade_tier);
+        let tier = device.solo.as_ref().unwrap().plan.degrade_tier;
+        let tier = format!(" {} ", merch_hm::checkpoint::tier_token(tier));
         let contain = first(Suite::Contain);
         let victim = contain.service.as_ref().unwrap().victim.unwrap().0;
         let serve = first(Suite::Serve);
         let (pages, after) = device.service.as_ref().unwrap().offline.unwrap();
         let huge = |n: u64| {
             format!(
-                "merchscenario 1\nsuite serve\nlabel x\nsolo none\nservice 1 10 4\n\
+                "merchscenario 2\nsuite serve\nlabel x\nsolo none\nservice 1 10 4\n\
                  offline none\nvictim none\ntenants {n}\n"
             )
         };
+        let crash = (sweep().iter())
+            .find(|s| s.solo.as_ref().is_some_and(|s| s.crash.is_some()))
+            .expect("a generated solo leg carries a crash");
+        let mut spec = String::new();
+        crash
+            .solo
+            .as_ref()
+            .unwrap()
+            .crash
+            .unwrap()
+            .fault()
+            .encode(&mut spec);
         let cases = [
-            (String::new(), "empty file"),
+            (String::new(), "missing `merchscenario` record"),
             ("merchckpt 4\n".to_string(), "expected `merchscenario`"),
             (
                 "merchscenario 9\n".to_string(),
@@ -2019,11 +2027,11 @@ mod tests {
                 replaced(soak, &format!("solo {app}"), "solo Nope"),
                 "unknown app `Nope`",
             ),
-            (replaced(soak, " none\n", " melt\n"), "unknown crash `melt`"),
+            (replaced(soak, " none\n", " melt\n"), "unknown fault `melt`"),
             (replaced(soak, "\nfaults", "\nfaulty"), "expected `faults`"),
             (
                 replaced(device, &tier, " Hbm "),
-                "unknown degrade_tier `Hbm`",
+                "field `degrade_tier`: bad value `Hbm`",
             ),
             (format!("{}junk 1\n", device.encode()), "trailing content"),
             (
@@ -2033,6 +2041,15 @@ mod tests {
             (
                 replaced(contain, &format!("victim {victim} "), "victim 99 "),
                 "index 99 out of range",
+            ),
+            // A fault token of the wrong kind for its record.
+            (
+                replaced(crash, &format!(" {spec}\n"), " panic 1\n"),
+                "a solo crash is `boundary` or `midmig`",
+            ),
+            (
+                replaced(contain, " panic ", " boundary "),
+                "a victim fault is `panic` or `stall`",
             ),
             (huge(u64::MAX), "missing `tenant` record"),
             (huge(100_000_000_000), "missing `tenant` record"),
@@ -2071,9 +2088,53 @@ mod tests {
             ),
         ];
         for (text, want) in cases {
-            let err = Scenario::decode(&text).unwrap_err();
+            let err = Scenario::decode(&text).unwrap_err().to_string();
             assert!(err.contains(want), "want {want:?} in {err:?}");
         }
+    }
+
+    #[test]
+    fn header_checks_name_the_line() {
+        let open = |text| Scenario::decode(text).unwrap_err().to_string();
+        let err = open("");
+        assert!(err.contains("missing `merchscenario` record"), "{err}");
+        let err = open("merchckpt 1\n");
+        assert!(
+            err.contains("line 1") && err.contains("`merchckpt`"),
+            "{err}"
+        );
+        let err = open("merchscenario 9\n");
+        assert!(
+            err.contains("unsupported merchscenario version 9") && err.contains("reads 2"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn unsupported_version_is_typed_with_observed() {
+        // Version 1 (the `faults` + `device` records) is no longer read.
+        for observed in [1, 9] {
+            let err = Scenario::decode(&format!("# why\nmerchscenario {observed}\n")).unwrap_err();
+            assert_eq!(
+                err,
+                ReplayError::UnsupportedVersion {
+                    kind: "scenario",
+                    magic: "merchscenario".to_string(),
+                    line_no: 2,
+                    observed,
+                }
+            );
+            let prose = err.to_string();
+            assert!(
+                prose.contains(&format!("unsupported merchscenario version {observed}"))
+                    && prose.contains("reads 2"),
+                "{prose}"
+            );
+        }
+        // A wrong magic is Malformed, not UnsupportedVersion: the file is
+        // not this format at all, so versions are beside the point.
+        let err = Scenario::decode("merchckpt 4\n").unwrap_err();
+        assert!(matches!(err, ReplayError::Malformed(_)), "{err:?}");
     }
 
     /// `text` mutated by `how`: 0 flips byte `at` by `mask`, 1 truncates
@@ -2142,7 +2203,7 @@ mod tests {
                     &format!("faults {} {:?} ", p.seed, p.migration_fail_rate),
                     &format!("faults {} 2.0 ", p.seed),
                 ),
-                "`faults`",
+                "`plan`",
                 "migration_fail_rate = 2 is not a probability",
             ),
             (
@@ -2151,7 +2212,7 @@ mod tests {
                     &format!(" {:?} {:?} ", d.degrade_lat_mult, d.degrade_bw_mult),
                     &format!(" 0.5 {:?} ", d.degrade_bw_mult),
                 ),
-                "`device`",
+                "`plan`",
                 "degrade_lat_mult = 0.5",
             ),
             (
@@ -2165,7 +2226,7 @@ mod tests {
             ),
         ];
         for (text, field, want) in cases {
-            let err = Scenario::decode(&text).unwrap_err();
+            let err = Scenario::decode(&text).unwrap_err().to_string();
             assert!(
                 err.contains(&format!("field {field}")) && err.contains(want),
                 "want {field} and {want:?} in {err:?}"

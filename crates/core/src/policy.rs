@@ -23,7 +23,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
 
-use merch_hm::checkpoint::{esc, p_bool, p_f64, p_u32, p_u64, p_usize, unesc, Reader};
+use merch_hm::checkpoint::{esc, Put, Reader};
 use merch_hm::runtime::{PlacementPolicy, RoundReport};
 use merch_hm::system::HmError;
 use merch_hm::trace::memory_accesses;
@@ -710,166 +710,144 @@ impl MerchandiserPolicy {
     /// percent-escaped; floats use `{:?}` (shortest round-trip, preserves
     /// the NaN sentinels of dropped PMC events).
     fn encode_task(out: &mut String, idx: usize, ts: &TaskState) {
-        use std::fmt::Write as _;
-        writeln!(out, "task {} {}", idx, ts.objects.len()).expect("writing to String cannot fail");
+        out.put(format_args!("task {} {}\n", idx, ts.objects.len()));
         for (oid, name) in &ts.objects {
-            writeln!(out, "obj {} {}", oid.0, esc(name)).expect("writing to String cannot fail");
+            out.put(format_args!("obj {} {}\n", oid.0, esc(name)));
         }
         out.push_str("events");
         for v in &ts.events.values {
-            write!(out, " {v:?}").expect("writing to String cannot fail");
+            out.put(format_args!(" {v:?}"));
         }
-        out.push('\n');
-        writeln!(out, "est {}", ts.estimator.objects.len()).expect("writing to String cannot fail");
+        out.put(format_args!("\nest {}\n", ts.estimator.objects.len()));
         for (name, e) in &ts.estimator.objects {
-            let pattern = match e.pattern {
-                AccessPattern::Stream => "stream".to_string(),
-                AccessPattern::Strided { stride, elem_bytes } => {
-                    format!("strided {stride} {elem_bytes}")
-                }
-                AccessPattern::Stencil {
-                    points,
-                    input_dependent,
-                } => format!("stencil {points} {}", u8::from(input_dependent)),
-                AccessPattern::Random => "random".to_string(),
-            };
-            let refiner = match &e.refiner {
-                None => "none".to_string(),
-                Some(r) => format!("ref {:?} {:?} {}", r.alpha, r.eta, r.observations),
-            };
-            writeln!(
-                out,
-                "e {} {} {:?} {:?} {:?} {} {}",
+            out.put(format_args!(
+                "e {} {} {:?} {:?} {:?} ",
                 esc(name),
                 e.s_base,
                 e.prof_mem_acc,
                 e.alpha,
-                e.caching_ratio,
-                pattern,
-                refiner
-            )
-            .expect("writing to String cannot fail");
+                e.caching_ratio
+            ));
+            match e.pattern {
+                AccessPattern::Stream => out.push_str("stream"),
+                AccessPattern::Strided { stride, elem_bytes } => {
+                    out.put(format_args!("strided {stride} {elem_bytes}"))
+                }
+                AccessPattern::Stencil {
+                    points,
+                    input_dependent,
+                } => out.put(format_args!(
+                    "stencil {points} {}",
+                    u8::from(input_dependent)
+                )),
+                AccessPattern::Random => out.push_str("random"),
+            }
+            match &e.refiner {
+                None => out.push_str(" none\n"),
+                Some(r) => out.put(format_args!(
+                    " ref {:?} {:?} {}\n",
+                    r.alpha, r.eta, r.observations
+                )),
+            }
         }
         let table = &ts.predictor.table;
-        writeln!(
-            out,
-            "bbt {} {} {}",
+        out.put(format_args!(
+            "bbt {} {} {}\n",
             table.unit_times.len(),
             table.base_counts.len(),
             ts.predictor.base_sizes.len()
-        )
-        .expect("writing to String cannot fail");
+        ));
         for (name, (d, p)) in &table.unit_times {
-            writeln!(out, "u {} {d:?} {p:?}", esc(name)).expect("writing to String cannot fail");
+            out.put(format_args!("u {} {d:?} {p:?}\n", esc(name)));
         }
         for (name, c) in &table.base_counts {
-            writeln!(out, "c {} {c:?}", esc(name)).expect("writing to String cannot fail");
+            out.put(format_args!("c {} {c:?}\n", esc(name)));
         }
         out.push_str("bsizes");
         for v in &ts.predictor.base_sizes {
-            write!(out, " {v:?}").expect("writing to String cannot fail");
+            out.put(format_args!(" {v:?}"));
         }
         out.push('\n');
     }
 
     /// Inverse of [`encode_task`](Self::encode_task).
     fn decode_task(r: &mut Reader<'_>) -> Result<TaskState, HmError> {
-        use merch_hm::checkpoint::corrupt;
         use merch_profiling::pmc::NUM_EVENTS;
-        let t = r.line("task", 2)?;
-        let nobj = p_usize(t[1])?;
+        let mut c = r.line("task")?;
+        c.token("index")?;
+        let nobj: usize = c.next("objects")?;
         let mut objects = Vec::new();
         for _ in 0..nobj {
-            let t = r.line("obj", 2)?;
-            objects.push((ObjectId(p_u32(t[0])?), unesc(t[1])?));
+            let mut c = r.line("obj")?;
+            objects.push((ObjectId(c.next("id")?), c.next("name")?));
         }
-        let t = r.line("events", NUM_EVENTS)?;
+        let mut c = r.line("events")?;
         let mut values = [0.0f64; NUM_EVENTS];
-        for (v, tok) in values.iter_mut().zip(&t) {
-            *v = p_f64(tok)?;
+        for v in &mut values {
+            *v = c.next("event")?;
         }
         let events = PmcEvents { values };
-        let t = r.line("est", 1)?;
-        let n = p_usize(t[0])?;
+        let n: usize = r.line("est")?.next("objects")?;
         let mut estimator = AccessEstimator::new();
         for _ in 0..n {
-            let t = r.line("e", 7)?;
-            let tok = |i: usize| -> Result<&str, HmError> {
-                t.get(i)
-                    .copied()
-                    .ok_or_else(|| corrupt("truncated estimator entry"))
+            let mut c = r.line("e")?;
+            let name = c.next("name")?;
+            let (s_base, prof_mem_acc) = (c.next("s_base")?, c.next("prof_mem_acc")?);
+            let (alpha, caching_ratio) = (c.next("alpha")?, c.next("caching_ratio")?);
+            let pattern = match c.token("pattern")? {
+                "stream" => AccessPattern::Stream,
+                "random" => AccessPattern::Random,
+                "strided" => AccessPattern::Strided {
+                    stride: c.next("stride")?,
+                    elem_bytes: c.next("elem_bytes")?,
+                },
+                "stencil" => AccessPattern::Stencil {
+                    points: c.next("points")?,
+                    input_dependent: c.next("input_dependent")?,
+                },
+                other => {
+                    return Err(c.invalid("pattern", format_args!("unknown pattern `{other}`")))
+                }
             };
-            let name = unesc(t[0])?;
-            let (s_base, prof, alpha, caching) =
-                (p_u64(t[1])?, p_f64(t[2])?, p_f64(t[3])?, p_f64(t[4])?);
-            let mut i = 5;
-            let pattern = match tok(i)? {
-                "stream" => {
-                    i += 1;
-                    AccessPattern::Stream
-                }
-                "random" => {
-                    i += 1;
-                    AccessPattern::Random
-                }
-                "strided" => {
-                    let p = AccessPattern::Strided {
-                        stride: p_u32(tok(i + 1)?)?,
-                        elem_bytes: p_u32(tok(i + 2)?)?,
-                    };
-                    i += 3;
-                    p
-                }
-                "stencil" => {
-                    let p = AccessPattern::Stencil {
-                        points: p_u32(tok(i + 1)?)?,
-                        input_dependent: p_bool(tok(i + 2)?)?,
-                    };
-                    i += 3;
-                    p
-                }
-                other => return Err(corrupt(&format!("unknown pattern token {other:?}"))),
-            };
-            let refiner = match tok(i)? {
+            let refiner = match c.token("refiner")? {
                 "none" => None,
                 "ref" => Some(AlphaRefiner {
-                    alpha: p_f64(tok(i + 1)?)?,
-                    eta: p_f64(tok(i + 2)?)?,
-                    observations: p_u64(tok(i + 3)?)?,
+                    alpha: c.next("ref_alpha")?,
+                    eta: c.next("ref_eta")?,
+                    observations: c.next("ref_observations")?,
                 }),
-                other => return Err(corrupt(&format!("unknown refiner token {other:?}"))),
+                other => {
+                    return Err(c.invalid("refiner", format_args!("unknown refiner `{other}`")))
+                }
             };
             estimator.objects.insert(
                 name,
                 crate::estimator::ObjectEstimate {
                     pattern,
                     s_base,
-                    prof_mem_acc: prof,
+                    prof_mem_acc,
                     alpha,
-                    caching_ratio: caching,
+                    caching_ratio,
                     refiner,
                 },
             );
         }
-        let t = r.line("bbt", 3)?;
-        let (nu, nc, ns) = (p_usize(t[0])?, p_usize(t[1])?, p_usize(t[2])?);
+        let mut c = r.line("bbt")?;
+        let (nu, nc): (usize, usize) = (c.next("unit_times")?, c.next("base_counts")?);
+        let ns: usize = c.next("base_sizes")?;
         let mut table = BasicBlockTable::default();
         for _ in 0..nu {
-            let t = r.line("u", 3)?;
-            table
-                .unit_times
-                .insert(unesc(t[0])?, (p_f64(t[1])?, p_f64(t[2])?));
+            let mut c = r.line("u")?;
+            let name = c.next("name")?;
+            let times = (c.next("dram_ns")?, c.next("pm_ns")?);
+            table.unit_times.insert(name, times);
         }
         for _ in 0..nc {
-            let t = r.line("c", 2)?;
-            table.base_counts.insert(unesc(t[0])?, p_f64(t[1])?);
+            let mut c = r.line("c")?;
+            let name = c.next("name")?;
+            table.base_counts.insert(name, c.next("count")?);
         }
-        let t = r.line("bsizes", ns)?;
-        let base_sizes = t
-            .iter()
-            .take(ns)
-            .map(|s| p_f64(s))
-            .collect::<Result<Vec<_>, _>>()?;
+        let base_sizes = r.line("bsizes")?.items(ns, "base_sizes")?;
         Ok(TaskState {
             estimator,
             predictor: HomogeneousPredictor::new(table, base_sizes),
@@ -1180,58 +1158,53 @@ impl PlacementPolicy for MerchandiserPolicy {
     }
 
     fn save_state(&self) -> String {
-        use std::fmt::Write as _;
         let mut out = String::new();
         out.push_str("merchpolicy 3\n");
-        writeln!(out, "degraded {}", u8::from(self.degraded))
-            .expect("writing to String cannot fail");
-        writeln!(
-            out,
-            "wd {} {}",
+        out.put(format_args!("degraded {}\n", u8::from(self.degraded)));
+        out.put(format_args!(
+            "wd {} {}\n",
             self.watchdog_fallback_rounds,
             self.watchdog_strikes.len()
-        )
-        .expect("writing to String cannot fail");
+        ));
         for (task, strikes) in &self.watchdog_strikes {
-            writeln!(out, "strike {task} {strikes}").expect("writing to String cannot fail");
+            out.put(format_args!("strike {task} {strikes}\n"));
         }
-        writeln!(out, "predlog {}", self.prediction_log.len())
-            .expect("writing to String cannot fail");
+        out.put(format_args!("predlog {}\n", self.prediction_log.len()));
         for (round, preds) in &self.prediction_log {
-            write!(out, "pred {} {}", round, preds.len()).expect("writing to String cannot fail");
+            out.put(format_args!("pred {} {}", round, preds.len()));
             for v in preds {
-                write!(out, " {v:?}").expect("writing to String cannot fail");
+                out.put(format_args!(" {v:?}"));
             }
             out.push('\n');
         }
         match &self.last_plan {
             None => out.push_str("plan none\n"),
             Some(p) => {
-                writeln!(out, "plan {} {}", p.rounds, p.dram_accesses.len())
-                    .expect("writing to String cannot fail");
-                out.push_str("pacc");
+                out.put(format_args!(
+                    "plan {} {}\npacc",
+                    p.rounds,
+                    p.dram_accesses.len()
+                ));
                 for v in &p.dram_accesses {
-                    write!(out, " {v:?}").expect("writing to String cannot fail");
+                    out.put(format_args!(" {v:?}"));
                 }
                 out.push_str("\npns");
                 for v in &p.predicted_ns {
-                    write!(out, " {v:?}").expect("writing to String cannot fail");
+                    out.put(format_args!(" {v:?}"));
                 }
                 out.push_str("\npbytes");
                 for v in &p.dram_bytes {
-                    write!(out, " {v}").expect("writing to String cannot fail");
+                    out.put(format_args!(" {v}"));
                 }
                 out.push('\n');
             }
         }
         self.sentinel.encode_state(&mut out);
-        write!(out, "pending {}", self.pending_recollect.len())
-            .expect("writing to String cannot fail");
+        out.put(format_args!("pending {}", self.pending_recollect.len()));
         for t in &self.pending_recollect {
-            write!(out, " {t}").expect("writing to String cannot fail");
+            out.put(format_args!(" {t}"));
         }
-        out.push('\n');
-        writeln!(out, "tasks {}", self.state.len()).expect("writing to String cannot fail");
+        out.put(format_args!("\ntasks {}\n", self.state.len()));
         for (i, ts) in self.state.iter().enumerate() {
             Self::encode_task(&mut out, i, ts);
         }
@@ -1240,97 +1213,53 @@ impl PlacementPolicy for MerchandiserPolicy {
     }
 
     fn restore_state(&mut self, blob: &str) -> Result<(), HmError> {
-        use merch_hm::checkpoint::corrupt;
         if blob.trim().is_empty() {
             // Checkpoint written by a stateless policy: keep the fresh state.
             return Ok(());
         }
-        let mut r = Reader::new(blob);
-        let t = r.line("merchpolicy", 1)?;
-        let version = p_u32(t[0])?;
+        let mut r = Reader::named("policy blob", blob);
+        let mut c = r.line("merchpolicy")?;
+        let version: u32 = c.next("version")?;
         if version != 3 {
-            return Err(corrupt(&format!(
-                "unsupported merchandiser state version {version}"
-            )));
+            return Err(c.invalid(
+                "version",
+                format_args!("unsupported merchandiser state version {version}"),
+            ));
         }
-        let t = r.line("degraded", 1)?;
-        let degraded = p_bool(t[0])?;
-        let t = r.line("wd", 2)?;
-        let (fallback, nstrikes) = (p_u32(t[0])?, p_usize(t[1])?);
+        let degraded = r.line("degraded")?.next("degraded")?;
+        let mut c = r.line("wd")?;
+        let (fallback, nstrikes): (u32, usize) = (c.next("fallback_rounds")?, c.next("strikes")?);
         let mut strikes = BTreeMap::new();
         for _ in 0..nstrikes {
-            let t = r.line("strike", 2)?;
-            strikes.insert(p_usize(t[0])?, p_u32(t[1])?);
+            let mut c = r.line("strike")?;
+            strikes.insert(c.next("task")?, c.next("strikes")?);
         }
-        let t = r.line("predlog", 1)?;
-        let n = p_usize(t[0])?;
+        let n: usize = r.line("predlog")?.next("rounds")?;
         let mut prediction_log = Vec::new();
         for _ in 0..n {
-            let t = r.line("pred", 2)?;
-            let (round, k) = (p_usize(t[0])?, p_usize(t[1])?);
-            let end = k
-                .checked_add(2)
-                .filter(|&end| end <= t.len())
-                .ok_or_else(|| corrupt("truncated prediction entry"))?;
-            let preds = t[2..end]
-                .iter()
-                .map(|s| p_f64(s))
-                .collect::<Result<Vec<_>, _>>()?;
-            prediction_log.push((round, preds));
+            let mut c = r.line("pred")?;
+            prediction_log.push((c.next("round")?, c.list("preds")?));
         }
-        let t = r.line("plan", 1)?;
-        let last_plan = if t[0] == "none" {
+        let mut c = r.line("plan")?;
+        let last_plan = if c.peek() == Some("none") {
             None
         } else {
-            let rounds = p_usize(t[0])?;
-            let k = p_usize(
-                t.get(1)
-                    .copied()
-                    .ok_or_else(|| corrupt("truncated plan header"))?,
-            )?;
-            let t = r.line("pacc", k)?;
-            let dram_accesses = t
-                .iter()
-                .take(k)
-                .map(|s| p_f64(s))
-                .collect::<Result<Vec<_>, _>>()?;
-            let t = r.line("pns", k)?;
-            let predicted_ns = t
-                .iter()
-                .take(k)
-                .map(|s| p_f64(s))
-                .collect::<Result<Vec<_>, _>>()?;
-            let t = r.line("pbytes", k)?;
-            let dram_bytes = t
-                .iter()
-                .take(k)
-                .map(|s| p_u64(s))
-                .collect::<Result<Vec<_>, _>>()?;
+            let (rounds, k) = (c.next("rounds")?, c.next("tasks")?);
             Some(AllocatorPlan {
-                dram_accesses,
-                predicted_ns,
-                dram_bytes,
+                dram_accesses: r.line("pacc")?.items(k, "dram_accesses")?,
+                predicted_ns: r.line("pns")?.items(k, "predicted_ns")?,
+                dram_bytes: r.line("pbytes")?.items(k, "dram_bytes")?,
                 rounds,
             })
         };
         let sentinel = DriftSentinel::decode_state(&mut r)?;
-        let t = r.line("pending", 1)?;
-        let np = p_usize(t[0])?;
-        let end = np
-            .checked_add(1)
-            .filter(|&end| end <= t.len())
-            .ok_or_else(|| corrupt("truncated pending-recollect list"))?;
-        let pending_recollect: BTreeSet<usize> = t[1..end]
-            .iter()
-            .map(|s| p_usize(s))
-            .collect::<Result<_, _>>()?;
-        let t = r.line("tasks", 1)?;
-        let n = p_usize(t[0])?;
+        let pending_recollect = r.line("pending")?.list("tasks")?.into_iter().collect();
+        let n: usize = r.line("tasks")?.next("tasks")?;
         let mut state = Vec::new();
         for _ in 0..n {
             state.push(Self::decode_task(&mut r)?);
         }
-        r.line("end", 0)?;
+        r.line("end")?;
         self.degraded = degraded;
         self.watchdog_fallback_rounds = fallback;
         self.watchdog_strikes = strikes;

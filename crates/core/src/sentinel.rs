@@ -34,7 +34,7 @@
 
 use std::collections::BTreeMap;
 
-use merch_hm::checkpoint::{esc, p_bool, p_f64, p_u32, p_u64, p_usize, unesc, Reader};
+use merch_hm::checkpoint::{esc, Put, Reader};
 use merch_hm::system::HmError;
 
 /// Tuning knobs of the drift sentinel's state machine.
@@ -267,82 +267,66 @@ impl DriftSentinel {
     /// Serialize the sentinel for the policy checkpoint blob (`{:?}`
     /// floats round-trip bit-exact).
     pub fn encode_state(&self, out: &mut String) {
-        use std::fmt::Write as _;
-        writeln!(
-            out,
-            "sentinel {:?} {:?} {:?} {} {}",
+        out.put(format_args!(
+            "sentinel {:?} {:?} {:?} {} {}\n",
             self.config.ewma_beta,
             self.config.band_hi,
             self.config.band_lo,
             self.config.sustain_rounds,
             self.config.clean_rounds
-        )
-        .expect("writing to String cannot fail");
-        writeln!(
-            out,
-            "sstate {} {} {} {}",
+        ));
+        out.put(format_args!(
+            "sstate {} {} {} {}\n",
             u8::from(self.tripped),
             u8::from(self.awaiting_step_up),
             self.drift_streak,
             self.clean_streak
-        )
-        .expect("writing to String cannot fail");
-        writeln!(
-            out,
-            "scnt {} {} {} {} {} {}",
+        ));
+        out.put(format_args!(
+            "scnt {} {} {} {} {} {}\n",
             self.quarantined_samples,
             self.recollections,
             self.version_bumps,
             self.ladder_steps_down,
             self.ladder_steps_up,
             self.hardware_shifts
-        )
-        .expect("writing to String cannot fail");
-        writeln!(out, "sterr {}", self.task_err.len()).expect("writing to String cannot fail");
+        ));
+        out.put(format_args!("sterr {}\n", self.task_err.len()));
         for (task, err) in &self.task_err {
-            writeln!(out, "ste {task} {err:?}").expect("writing to String cannot fail");
+            out.put(format_args!("ste {task} {err:?}\n"));
         }
-        writeln!(out, "scerr {}", self.class_err.len()).expect("writing to String cannot fail");
+        out.put(format_args!("scerr {}\n", self.class_err.len()));
         for (class, err) in &self.class_err {
-            writeln!(out, "sce {} {err:?}", esc(class)).expect("writing to String cannot fail");
+            out.put(format_args!("sce {} {err:?}\n", esc(class)));
         }
     }
 
     /// Inverse of [`encode_state`](Self::encode_state).
     pub fn decode_state(r: &mut Reader<'_>) -> Result<Self, HmError> {
-        let t = r.line("sentinel", 5)?;
+        let mut c = r.line("sentinel")?;
         let config = SentinelConfig {
-            ewma_beta: p_f64(t[0])?,
-            band_hi: p_f64(t[1])?,
-            band_lo: p_f64(t[2])?,
-            sustain_rounds: p_u32(t[3])?,
-            clean_rounds: p_u32(t[4])?,
+            ewma_beta: c.next("ewma_beta")?,
+            band_hi: c.next("band_hi")?,
+            band_lo: c.next("band_lo")?,
+            sustain_rounds: c.next("sustain_rounds")?,
+            clean_rounds: c.next("clean_rounds")?,
         };
-        let t = r.line("sstate", 4)?;
-        let (tripped, awaiting) = (p_bool(t[0])?, p_bool(t[1])?);
-        let (drift_streak, clean_streak) = (p_u32(t[2])?, p_u32(t[3])?);
-        let t = r.line("scnt", 6)?;
-        let counters = [
-            p_u64(t[0])?,
-            p_u64(t[1])?,
-            p_u64(t[2])?,
-            p_u64(t[3])?,
-            p_u64(t[4])?,
-            p_u64(t[5])?,
-        ];
-        let t = r.line("sterr", 1)?;
-        let n = p_usize(t[0])?;
+        let mut c = r.line("sstate")?;
+        let (tripped, awaiting) = (c.next("tripped")?, c.next("awaiting_step_up")?);
+        let (drift_streak, clean_streak) = (c.next("drift_streak")?, c.next("clean_streak")?);
+        let mut c = r.line("scnt")?;
+        let counters: Vec<u64> = c.items(6, "counters")?;
+        let n: usize = r.line("sterr")?.next("tasks")?;
         let mut task_err = BTreeMap::new();
         for _ in 0..n {
-            let t = r.line("ste", 2)?;
-            task_err.insert(p_usize(t[0])?, p_f64(t[1])?);
+            let mut c = r.line("ste")?;
+            task_err.insert(c.next("task")?, c.next("err")?);
         }
-        let t = r.line("scerr", 1)?;
-        let n = p_usize(t[0])?;
+        let n: usize = r.line("scerr")?.next("classes")?;
         let mut class_err = BTreeMap::new();
         for _ in 0..n {
-            let t = r.line("sce", 2)?;
-            class_err.insert(unesc(t[0])?, p_f64(t[1])?);
+            let mut c = r.line("sce")?;
+            class_err.insert(c.next("class")?, c.next("err")?);
         }
         Ok(Self {
             config,

@@ -42,6 +42,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use crate::backoff::Backoff;
+use crate::config::Tier;
 use crate::fault::FaultInjector;
 use crate::runtime::{RoundReport, TaskResult};
 use crate::system::{HmError, HmSystem};
@@ -79,33 +80,19 @@ pub fn corrupt(msg: &str) -> HmError {
     HmError::CheckpointCorrupt(msg.to_string())
 }
 
-/// Parse an `f64` written with `{:?}` (round-trips bit-exact, including
-/// `NaN` / `inf` / `-inf`).
-pub fn p_f64(tok: &str) -> Result<f64, HmError> {
-    tok.parse().map_err(|_| corrupt("bad f64 field"))
+/// Infallible formatted writes into a `String` payload: every text encoder
+/// (checkpoint, policy blob, scenario file) appends through this.
+pub trait Put {
+    /// Append `args` (callers end a line with `\n` in the format string).
+    fn put(&mut self, args: std::fmt::Arguments<'_>);
 }
 
-/// Parse a `u64` field.
-pub fn p_u64(tok: &str) -> Result<u64, HmError> {
-    tok.parse().map_err(|_| corrupt("bad u64 field"))
-}
-
-/// Parse a `u32` field.
-pub fn p_u32(tok: &str) -> Result<u32, HmError> {
-    tok.parse().map_err(|_| corrupt("bad u32 field"))
-}
-
-/// Parse a `usize` field.
-pub fn p_usize(tok: &str) -> Result<usize, HmError> {
-    tok.parse().map_err(|_| corrupt("bad usize field"))
-}
-
-/// Parse a boolean written as `0` / `1`.
-pub fn p_bool(tok: &str) -> Result<bool, HmError> {
-    match tok {
-        "0" => Ok(false),
-        "1" => Ok(true),
-        _ => Err(corrupt("bad bool field")),
+impl Put for String {
+    fn put(&mut self, args: std::fmt::Arguments<'_>) {
+        // `fmt::Write for String` only fails if a `Display` impl does, and
+        // every value written here is a number or a `str`.
+        self.write_fmt(args)
+            .expect("writing to a String is infallible");
     }
 }
 
@@ -115,7 +102,7 @@ pub fn esc(name: &str) -> String {
     let mut out = String::with_capacity(name.len());
     for b in name.bytes() {
         if b == b'%' || !(0x21..=0x7E).contains(&b) {
-            write!(out, "%{b:02X}").expect("writing to String cannot fail");
+            out.put(format_args!("%{b:02X}"));
         } else {
             out.push(b as char);
         }
@@ -123,70 +110,244 @@ pub fn esc(name: &str) -> String {
     out
 }
 
-/// Inverse of [`esc`].
-pub fn unesc(tok: &str) -> Result<String, HmError> {
+/// Inverse of [`esc`]; `None` on a malformed escape.
+pub fn unesc(tok: &str) -> Option<String> {
     let mut bytes = Vec::with_capacity(tok.len());
     let raw = tok.as_bytes();
     let mut i = 0;
     while i < raw.len() {
         if raw[i] == b'%' {
-            let hex = raw.get(i + 1..i + 3).ok_or_else(|| corrupt("bad escape"))?;
-            let hex = std::str::from_utf8(hex).map_err(|_| corrupt("bad escape"))?;
-            bytes.push(u8::from_str_radix(hex, 16).map_err(|_| corrupt("bad escape"))?);
+            let hex = std::str::from_utf8(raw.get(i + 1..i + 3)?).ok()?;
+            bytes.push(u8::from_str_radix(hex, 16).ok()?);
             i += 3;
         } else {
             bytes.push(raw[i]);
             i += 1;
         }
     }
-    String::from_utf8(bytes).map_err(|_| corrupt("bad escape"))
+    String::from_utf8(bytes).ok()
 }
 
-/// Line-oriented reader over a checkpoint payload: each record line is a
-/// tag followed by whitespace-separated tokens.
+/// A value read from one whitespace-free token.
+pub trait Token: Sized {
+    /// Parse `tok`, or `None` when it is not a valid encoding.
+    fn from_token(tok: &str) -> Option<Self>;
+}
+
+macro_rules! from_str_tokens {
+    ($($t:ty),*) => {$(
+        impl Token for $t {
+            fn from_token(tok: &str) -> Option<Self> {
+                tok.parse().ok()
+            }
+        }
+    )*};
+}
+
+// Floats accept the `inf`/`NaN` spellings `{:?}` writes, and round-trip
+// bit-exact.
+from_str_tokens!(u8, u32, u64, usize, i64, f64);
+
+/// Written as `0` / `1`.
+impl Token for bool {
+    fn from_token(tok: &str) -> Option<Self> {
+        match tok {
+            "0" => Some(false),
+            "1" => Some(true),
+            _ => None,
+        }
+    }
+}
+
+/// A name written with [`esc`].
+impl Token for String {
+    fn from_token(tok: &str) -> Option<Self> {
+        unesc(tok)
+    }
+}
+
+/// Written as `D` / `P`.
+impl Token for Tier {
+    fn from_token(tok: &str) -> Option<Self> {
+        match tok {
+            "D" => Some(Tier::Dram),
+            "P" => Some(Tier::Pm),
+            _ => None,
+        }
+    }
+}
+
+/// The token [`Tier`] decodes from.
+pub fn tier_token(tier: Tier) -> &'static str {
+    match tier {
+        Tier::Dram => "D",
+        Tier::Pm => "P",
+    }
+}
+
+/// The one line reader of the checkpoint payload, the policy blob inside
+/// it and the scenario file: each record line is a tag followed by
+/// whitespace-separated tokens, read through a [`Fields`] cursor. Every error names the format, the 1-based line, the tag and the
+/// field, e.g. ``scenario line 5, `solo` field `seed`: bad value `x7` ``.
+#[derive(Debug)]
 pub struct Reader<'a> {
-    lines: std::str::Lines<'a>,
+    format: &'static str,
+    lines: std::iter::Enumerate<std::str::Lines<'a>>,
     line_no: usize,
+    comments: bool,
 }
 
 impl<'a> Reader<'a> {
-    /// Reader over `text`.
+    /// Reader over a checkpoint payload: every line is a record.
     pub fn new(text: &'a str) -> Self {
+        Self::named("checkpoint", text)
+    }
+
+    /// Reader over a `format` text in which every line is a record.
+    pub fn named(format: &'static str, text: &'a str) -> Self {
         Self {
-            lines: text.lines(),
+            format,
+            lines: text.lines().enumerate(),
             line_no: 0,
+            comments: false,
         }
+    }
+
+    /// Reader over a `format` file in which blank lines and `#` comments
+    /// are skipped (line numbers still count them).
+    pub fn commented(format: &'static str, text: &'a str) -> Self {
+        Self {
+            comments: true,
+            ..Self::named(format, text)
+        }
+    }
+
+    fn error(&self, what: impl std::fmt::Display) -> HmError {
+        HmError::CheckpointCorrupt(format!("{} line {}: {what}", self.format, self.line_no))
+    }
+
+    fn next_line(&mut self) -> Option<&'a str> {
+        for (i, line) in self.lines.by_ref() {
+            self.line_no = i + 1;
+            let skip = self.comments && {
+                let trimmed = line.trim();
+                trimmed.is_empty() || trimmed.starts_with('#')
+            };
+            if !skip {
+                return Some(line);
+            }
+        }
+        self.line_no += 1;
+        None
     }
 
     /// Next raw line (opaque policy-blob passthrough).
     pub fn raw(&mut self) -> Result<&'a str, HmError> {
-        self.line_no += 1;
-        self.lines
-            .next()
-            .ok_or_else(|| corrupt("unexpected end of checkpoint"))
+        self.next_line()
+            .ok_or_else(|| self.error("unexpected end of file"))
     }
 
-    /// Next line, asserting its tag and a minimum token count; returns the
-    /// tokens *after* the tag.
-    pub fn line(&mut self, tag: &str, min_tokens: usize) -> Result<Vec<&'a str>, HmError> {
-        let line = self.raw()?;
+    /// Next line, which must be tagged `tag`: a cursor over its fields.
+    pub fn line(&mut self, tag: &'static str) -> Result<Fields<'a>, HmError> {
+        let Some(line) = self.next_line() else {
+            return Err(self.error(format_args!("missing `{tag}` record (end of file)")));
+        };
         let mut toks = line.split_whitespace();
         let found = toks.next().unwrap_or("");
         if found != tag {
-            return Err(HmError::CheckpointCorrupt(format!(
-                "line {}: expected '{tag}', found '{found}'",
-                self.line_no
-            )));
+            return Err(self.error(format_args!("expected `{tag}`, found `{found}`")));
         }
-        let rest: Vec<&str> = toks.collect();
-        if rest.len() < min_tokens {
-            return Err(HmError::CheckpointCorrupt(format!(
-                "line {}: '{tag}' needs {min_tokens} fields, has {}",
-                self.line_no,
-                rest.len()
-            )));
+        Ok(Fields {
+            format: self.format,
+            line_no: self.line_no,
+            tag,
+            toks,
+            read: 0,
+        })
+    }
+
+    /// Assert that no record follows.
+    pub fn finish(mut self) -> Result<(), HmError> {
+        match self.next_line() {
+            None => Ok(()),
+            Some(line) => Err(self.error(format_args!("trailing content `{}`", line.trim()))),
         }
-        Ok(rest)
+    }
+}
+
+/// Cursor over the fields of one record line, in order.
+#[derive(Debug)]
+pub struct Fields<'a> {
+    format: &'static str,
+    line_no: usize,
+    tag: &'static str,
+    toks: std::str::SplitWhitespace<'a>,
+    read: usize,
+}
+
+impl<'a> Fields<'a> {
+    /// 1-based line number of the record.
+    pub fn line_no(&self) -> usize {
+        self.line_no
+    }
+
+    /// A diagnostic for `field` of this record.
+    pub fn invalid(&self, field: &str, what: impl std::fmt::Display) -> HmError {
+        HmError::CheckpointCorrupt(format!(
+            "{} line {}, `{}` field `{field}`: {what}",
+            self.format, self.line_no, self.tag
+        ))
+    }
+
+    /// The next raw token.
+    pub fn token(&mut self, field: &str) -> Result<&'a str, HmError> {
+        let tok = self.toks.next().ok_or_else(|| {
+            self.invalid(
+                field,
+                format_args!(
+                    "missing, needs {} field(s), has {}",
+                    self.read + 1,
+                    self.read
+                ),
+            )
+        })?;
+        self.read += 1;
+        Ok(tok)
+    }
+
+    /// The next token, parsed as a `T`.
+    pub fn next<T: Token>(&mut self, field: &str) -> Result<T, HmError> {
+        let tok = self.token(field)?;
+        T::from_token(tok).ok_or_else(|| self.invalid(field, format_args!("bad value `{tok}`")))
+    }
+
+    /// The next token, unread (`None` at the end of the record).
+    pub fn peek(&self) -> Option<&'a str> {
+        self.toks.clone().next()
+    }
+
+    /// The next `n` tokens, each parsed as a `T`. Nothing is reserved from
+    /// `n`, so a huge count fails on the first missing token.
+    pub fn items<T: Token>(&mut self, n: usize, field: &str) -> Result<Vec<T>, HmError> {
+        let mut out = Vec::new();
+        for _ in 0..n {
+            out.push(self.next(field)?);
+        }
+        Ok(out)
+    }
+
+    /// A counted list: a `usize` count, then that many `T`s.
+    pub fn list<T: Token>(&mut self, field: &str) -> Result<Vec<T>, HmError> {
+        let n = self.next(field)?;
+        self.items(n, field)
+    }
+
+    /// Assert that the record has no further token.
+    pub fn end(&mut self) -> Result<(), HmError> {
+        match self.toks.next() {
+            None => Ok(()),
+            Some(tok) => Err(self.invalid("end", format_args!("trailing token `{tok}`"))),
+        }
     }
 }
 
@@ -215,29 +376,27 @@ pub struct BreakerFrame {
 impl BreakerFrame {
     /// Serialize as the checkpoint `breaker` line payload.
     pub fn encode(&self, out: &mut String) {
-        writeln!(
-            out,
-            "breaker {} {} {} {} {} {}",
+        out.put(format_args!(
+            "breaker {} {} {} {} {} {}\n",
             self.strikes,
             self.window_start,
             self.attempts,
             self.open_until,
             self.probes_left,
             self.trips
-        )
-        .expect("writing to String cannot fail");
+        ));
     }
 
     /// Decode the `breaker` line written by [`encode`](Self::encode).
     pub fn decode(r: &mut Reader<'_>) -> Result<Self, HmError> {
-        let t = r.line("breaker", 6)?;
+        let mut c = r.line("breaker")?;
         Ok(Self {
-            strikes: p_u32(t[0])?,
-            window_start: p_u64(t[1])?,
-            attempts: p_u64(t[2])?,
-            open_until: p_u64(t[3])?,
-            probes_left: p_u32(t[4])?,
-            trips: p_u32(t[5])?,
+            strikes: c.next("strikes")?,
+            window_start: c.next("window_start")?,
+            attempts: c.next("attempts")?,
+            open_until: c.next("open_until")?,
+            probes_left: c.next("probes_left")?,
+            trips: c.next("trips")?,
         })
     }
 }
@@ -271,16 +430,17 @@ impl Checkpoint {
     /// Serialize to the line-oriented payload text.
     pub fn encode(&self) -> String {
         let mut out = String::new();
-        writeln!(out, "merchckpt {CHECKPOINT_VERSION}").expect("writing to String cannot fail");
-        writeln!(out, "cursor {} {}", self.next_round, self.blackout_cursor)
-            .expect("writing to String cannot fail");
+        out.put(format_args!("merchckpt {CHECKPOINT_VERSION}\n"));
+        out.put(format_args!(
+            "cursor {} {}\n",
+            self.next_round, self.blackout_cursor
+        ));
         self.breaker.encode(&mut out);
         self.sys.encode_state(&mut out);
-        writeln!(out, "completed {}", self.completed.len()).expect("writing to String cannot fail");
+        out.put(format_args!("completed {}\n", self.completed.len()));
         for r in &self.completed {
-            writeln!(
-                out,
-                "round {} {} {} {} {} {} {} {} {} {:?} {:?} {}",
+            out.put(format_args!(
+                "round {} {} {} {} {} {} {} {} {} {:?} {:?} {}\n",
                 r.round,
                 r.migration_pages,
                 r.migration_attempts,
@@ -293,12 +453,10 @@ impl Checkpoint {
                 r.migration_ns,
                 r.round_time_ns,
                 r.tasks.len()
-            )
-            .expect("writing to String cannot fail");
+            ));
             for t in &r.tasks {
-                writeln!(
-                    out,
-                    "task {} {:?} {:?} {:?} {:?} {:?} {:?} {:?}",
+                out.put(format_args!(
+                    "task {} {:?} {:?} {:?} {:?} {:?} {:?} {:?}\n",
                     t.task,
                     t.time_ns,
                     t.cost.time_ns,
@@ -307,19 +465,16 @@ impl Checkpoint {
                     t.cost.dram_accesses,
                     t.cost.pm_accesses,
                     t.cost.compute_ns
-                )
-                .expect("writing to String cannot fail");
+                ));
             }
         }
         self.timeline.encode_state(&mut out);
-        let n_policy_lines = if self.policy_state.is_empty() {
-            0
-        } else {
+        out.put(format_args!(
+            "policy {}\n",
             self.policy_state.lines().count()
-        };
-        writeln!(out, "policy {n_policy_lines}").expect("writing to String cannot fail");
-        for line in self.policy_state.lines().take(n_policy_lines) {
-            writeln!(out, "{line}").expect("writing to String cannot fail");
+        ));
+        for line in self.policy_state.lines() {
+            out.put(format_args!("{line}\n"));
         }
         out.push_str("end\n");
         out
@@ -330,64 +485,60 @@ impl Checkpoint {
         #[cfg(test)]
         tests::DECODES.with(|n| n.set(n.get() + 1));
         let mut r = Reader::new(text);
-        let t = r.line("merchckpt", 1)?;
-        let version = p_u32(t[0])?;
+        let version: u32 = r.line("merchckpt")?.next("version")?;
         if version != CHECKPOINT_VERSION {
             return Err(HmError::CheckpointCorrupt(format!(
                 "unsupported checkpoint version {version} (this build reads {CHECKPOINT_VERSION})"
             )));
         }
-        let t = r.line("cursor", 2)?;
-        let (next_round, blackout_cursor) = (p_usize(t[0])?, p_usize(t[1])?);
+        let mut c = r.line("cursor")?;
+        let (next_round, blackout_cursor) = (c.next("next_round")?, c.next("blackout_cursor")?);
         let breaker = BreakerFrame::decode(&mut r)?;
         let sys = HmSystem::decode_state(&mut r)?;
-        let t = r.line("completed", 1)?;
-        let n_rounds = p_usize(t[0])?;
+        let n_rounds: usize = r.line("completed")?.next("rounds")?;
         let mut completed = Vec::new();
         for _ in 0..n_rounds {
-            let t = r.line("round", 12)?;
-            let n_tasks = p_usize(t[11])?;
-            let mut tasks = Vec::new();
+            let mut c = r.line("round")?;
+            let mut round = RoundReport {
+                round: c.next("round")?,
+                tasks: Vec::new(),
+                migration_pages: c.next("migration_pages")?,
+                migration_attempts: c.next("migration_attempts")?,
+                failed_pages: c.next("failed_pages")?,
+                degraded: c.next("degraded")?,
+                straggler_events: c.next("straggler_events")?,
+                watchdog_pages: c.next("watchdog_pages")?,
+                epoch_commits: c.next("epoch_commits")?,
+                epoch_rollbacks: c.next("epoch_rollbacks")?,
+                migration_ns: c.next("migration_ns")?,
+                round_time_ns: c.next("round_time_ns")?,
+            };
+            let n_tasks: usize = c.next("tasks")?;
             for _ in 0..n_tasks {
-                let tt = r.line("task", 8)?;
-                tasks.push(TaskResult {
-                    task: p_usize(tt[0])?,
-                    time_ns: p_f64(tt[1])?,
+                let mut c = r.line("task")?;
+                round.tasks.push(TaskResult {
+                    task: c.next("task")?,
+                    time_ns: c.next("time_ns")?,
                     cost: crate::cost::PhaseCost {
-                        time_ns: p_f64(tt[2])?,
-                        dram_bytes: p_f64(tt[3])?,
-                        pm_bytes: p_f64(tt[4])?,
-                        dram_accesses: p_f64(tt[5])?,
-                        pm_accesses: p_f64(tt[6])?,
-                        compute_ns: p_f64(tt[7])?,
+                        time_ns: c.next("cost_time_ns")?,
+                        dram_bytes: c.next("dram_bytes")?,
+                        pm_bytes: c.next("pm_bytes")?,
+                        dram_accesses: c.next("dram_accesses")?,
+                        pm_accesses: c.next("pm_accesses")?,
+                        compute_ns: c.next("compute_ns")?,
                     },
                 });
             }
-            completed.push(RoundReport {
-                round: p_usize(t[0])?,
-                tasks,
-                migration_pages: p_u64(t[1])?,
-                migration_attempts: p_u64(t[2])?,
-                failed_pages: p_u64(t[3])?,
-                degraded: p_bool(t[4])?,
-                straggler_events: p_u64(t[5])?,
-                watchdog_pages: p_u64(t[6])?,
-                epoch_commits: p_u64(t[7])?,
-                epoch_rollbacks: p_u64(t[8])?,
-                migration_ns: p_f64(t[9])?,
-                round_time_ns: p_f64(t[10])?,
-            });
+            completed.push(round);
         }
         let timeline = BandwidthTimeline::decode_state(&mut r, &completed)?;
-        let t = r.line("policy", 1)?;
-        let n_policy_lines = p_usize(t[0])?;
+        let n_policy_lines: usize = r.line("policy")?.next("lines")?;
         let mut policy_state = String::new();
         for _ in 0..n_policy_lines {
             policy_state.push_str(r.raw()?);
             policy_state.push('\n');
         }
-        let end = r.raw()?;
-        if end.trim() != "end" {
+        if r.raw()?.trim() != "end" {
             return Err(corrupt("missing end marker"));
         }
         Ok(Self {
@@ -719,6 +870,50 @@ mod tests {
             assert_eq!(unesc(&esc(s)).unwrap(), s);
             assert!(!esc(s).contains(' '));
         }
+    }
+
+    #[test]
+    fn records_report_line_and_field() {
+        let text = "# comment\nmerchscenario 2\n\ncase 7\nseed x7\n";
+        let mut r = Reader::commented("scenario", text);
+        r.line("merchscenario").unwrap();
+        let mut c = r.line("case").unwrap();
+        assert_eq!(c.line_no(), 4);
+        assert_eq!(c.next::<u64>("case").unwrap(), 7);
+        let mut s = r.line("seed").unwrap();
+        let err = s.next::<u64>("seed").unwrap_err().to_string();
+        assert!(
+            err.contains("line 5") && err.contains("`seed`") && err.contains("`x7`"),
+            "{err}"
+        );
+        let err = r.line("app").unwrap_err().to_string();
+        assert!(err.contains("line 6") && err.contains("`app`"), "{err}");
+    }
+
+    #[test]
+    fn wrong_tag_and_arity_diagnosed() {
+        let text = "merchscenario 2\nfaulty 1 2\n";
+        let mut r = Reader::commented("scenario", text);
+        r.line("merchscenario").unwrap();
+        let err = r.line("faults").unwrap_err().to_string();
+        assert!(
+            err.contains("line 2") && err.contains("expected `faults`") && err.contains("`faulty`"),
+            "{err}"
+        );
+        let text = "merchscenario 2\nfaults 1 2\n";
+        let mut r = Reader::commented("scenario", text);
+        r.line("merchscenario").unwrap();
+        let mut c = r.line("faults").unwrap();
+        let err = c.items::<u64>(7, "f").unwrap_err().to_string();
+        assert!(err.contains("needs 3 field(s), has 2"), "{err}");
+        // A checkpoint has no comments: a `#` line is a record like any
+        // other, and the wrong one.
+        let mut r = Reader::new("# note\ncursor 1 2\n");
+        let err = r.line("cursor").unwrap_err().to_string();
+        assert!(
+            err.contains("checkpoint line 1") && err.contains("`#`"),
+            "{err}"
+        );
     }
 
     #[test]

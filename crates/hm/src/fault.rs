@@ -16,6 +16,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::checkpoint::{tier_token, Fields, Put, Reader};
 use crate::config::Tier;
 use crate::page::PageId;
 use crate::system::HmError;
@@ -98,6 +99,52 @@ pub enum FaultKind {
         /// Length of the stall window in rounds.
         rounds: u64,
     },
+}
+
+impl FaultKind {
+    /// Append the kind's tokens: `boundary <round>`, `midmig <round>
+    /// <after_attempts>`, `panic <round>` or `stall <round> <rounds>`.
+    pub fn encode(&self, out: &mut String) {
+        match *self {
+            FaultKind::Crash {
+                round,
+                point: CrashPoint::BetweenRounds,
+            } => out.put(format_args!("boundary {round}")),
+            FaultKind::Crash {
+                round,
+                point: CrashPoint::MidMigration { after_attempts },
+            } => out.put(format_args!("midmig {round} {after_attempts}")),
+            FaultKind::TenantPanic { round } => out.put(format_args!("panic {round}")),
+            FaultKind::TenantStall { round, rounds } => {
+                out.put(format_args!("stall {round} {rounds}"))
+            }
+        }
+    }
+
+    /// Read the tokens [`encode`](Self::encode) writes, or `none` (`None`).
+    pub fn decode(c: &mut Fields<'_>) -> Result<Option<Self>, HmError> {
+        Ok(Some(match c.token("fault")? {
+            "none" => return Ok(None),
+            "boundary" => FaultKind::Crash {
+                round: c.next("round")?,
+                point: CrashPoint::BetweenRounds,
+            },
+            "midmig" => FaultKind::Crash {
+                round: c.next("round")?,
+                point: CrashPoint::MidMigration {
+                    after_attempts: c.next("after_attempts")?,
+                },
+            },
+            "panic" => FaultKind::TenantPanic {
+                round: c.next("round")?,
+            },
+            "stall" => FaultKind::TenantStall {
+                round: c.next("round")?,
+                rounds: c.next("rounds")?,
+            },
+            other => return Err(c.invalid("fault", format_args!("unknown fault `{other}`"))),
+        }))
+    }
 }
 
 /// Declarative description of the faults to inject into one run.
@@ -294,6 +341,62 @@ impl FaultPlan {
     /// [`FaultKind::TenantStall`]).
     pub fn with_tenant_stall(self, round: u64, rounds: u64) -> Self {
         self.with_fault(FaultKind::TenantStall { round, rounds })
+    }
+
+    /// Append the plan's tokens: every field in declaration order, then the
+    /// scripted fault ([`FaultKind::encode`], or `none`). The checkpoint's
+    /// `faultplan` line and the scenario file's `faults` line are this.
+    pub fn encode(&self, out: &mut String) {
+        out.put(format_args!(
+            "{} {:?} {} {:?} {:?} {} {} {:?} {:?} {:?} {} {} {:?} {:?} {} {} ",
+            self.seed,
+            self.migration_fail_rate,
+            self.migration_max_retries,
+            self.pte_sample_dropout,
+            self.pmc_event_dropout,
+            self.dram_pressure_bytes,
+            self.pressure_period_rounds,
+            self.telemetry_blackout,
+            self.checkpoint_write_fail_rate,
+            self.page_poison_rate,
+            tier_token(self.degrade_tier),
+            self.degrade_period_rounds,
+            self.degrade_lat_mult,
+            self.degrade_bw_mult,
+            self.offline_round,
+            self.offline_bytes,
+        ));
+        match &self.crash {
+            None => out.push_str("none"),
+            Some(kind) => kind.encode(out),
+        }
+    }
+
+    /// Read the rest of `c` as a plan written by [`encode`](Self::encode):
+    /// nothing may follow it, and it must [`validate`](Self::validate).
+    pub fn decode(c: &mut Fields<'_>) -> Result<Self, HmError> {
+        let plan = FaultPlan {
+            seed: c.next("seed")?,
+            migration_fail_rate: c.next("migration_fail_rate")?,
+            migration_max_retries: c.next("migration_max_retries")?,
+            pte_sample_dropout: c.next("pte_sample_dropout")?,
+            pmc_event_dropout: c.next("pmc_event_dropout")?,
+            dram_pressure_bytes: c.next("dram_pressure_bytes")?,
+            pressure_period_rounds: c.next("pressure_period_rounds")?,
+            telemetry_blackout: c.next("telemetry_blackout")?,
+            checkpoint_write_fail_rate: c.next("checkpoint_write_fail_rate")?,
+            page_poison_rate: c.next("page_poison_rate")?,
+            degrade_tier: c.next("degrade_tier")?,
+            degrade_period_rounds: c.next("degrade_period_rounds")?,
+            degrade_lat_mult: c.next("degrade_lat_mult")?,
+            degrade_bw_mult: c.next("degrade_bw_mult")?,
+            offline_round: c.next("offline_round")?,
+            offline_bytes: c.next("offline_bytes")?,
+            crash: FaultKind::decode(c)?,
+        };
+        plan.validate().map_err(|e| c.invalid("plan", e))?;
+        c.end()?;
+        Ok(plan)
     }
 
     /// Check that every rate is a probability and the plan is physically
@@ -708,55 +811,15 @@ impl FaultInjector {
     /// Serialize the injector for a checkpoint: the plan, the round clock,
     /// the per-round draw cursors, the crash latch, and the statistics.
     pub fn encode_state(&self, out: &mut String) {
-        use std::fmt::Write as _;
-        let p = &self.plan;
-        let crash = match p.crash {
-            None => "none".to_string(),
-            Some(FaultKind::Crash {
-                round,
-                point: CrashPoint::BetweenRounds,
-            }) => format!("boundary {round}"),
-            Some(FaultKind::Crash {
-                round,
-                point: CrashPoint::MidMigration { after_attempts },
-            }) => format!("midmig {round} {after_attempts}"),
-            Some(FaultKind::TenantPanic { round }) => format!("panic {round}"),
-            Some(FaultKind::TenantStall { round, rounds }) => format!("stall {round} {rounds}"),
-        };
-        writeln!(
-            out,
-            "faultplan {} {:?} {} {:?} {:?} {} {} {:?} {:?} {:?} {} {} {:?} {:?} {} {} {crash}",
-            p.seed,
-            p.migration_fail_rate,
-            p.migration_max_retries,
-            p.pte_sample_dropout,
-            p.pmc_event_dropout,
-            p.dram_pressure_bytes,
-            p.pressure_period_rounds,
-            p.telemetry_blackout,
-            p.checkpoint_write_fail_rate,
-            p.page_poison_rate,
-            match p.degrade_tier {
-                Tier::Dram => "D",
-                Tier::Pm => "P",
-            },
-            p.degrade_period_rounds,
-            p.degrade_lat_mult,
-            p.degrade_bw_mult,
-            p.offline_round,
-            p.offline_bytes,
-        )
-        .expect("writing to String cannot fail");
-        writeln!(
-            out,
-            "faultstate {} {} {} {}",
+        out.push_str("faultplan ");
+        self.plan.encode(out);
+        out.put(format_args!(
+            "\nfaultstate {} {} {} {}\n",
             self.round, self.pte_draws, self.migration_calls, self.crashed as u8
-        )
-        .expect("writing to String cannot fail");
+        ));
         let s = &self.stats;
-        writeln!(
-            out,
-            "faultstats {} {} {} {} {} {} {} {} {} {} {}",
+        out.put(format_args!(
+            "faultstats {} {} {} {} {} {} {} {} {} {} {}\n",
             s.migration_retries,
             s.failed_pages,
             s.dropped_pte_samples,
@@ -768,76 +831,28 @@ impl FaultInjector {
             s.offlined_bytes,
             s.tenant_panics,
             s.stalled_rounds
-        )
-        .expect("writing to String cannot fail");
+        ));
     }
 
     /// Restore an injector serialized by [`encode_state`](Self::encode_state).
-    pub fn decode_state(r: &mut crate::checkpoint::Reader<'_>) -> Result<Self, HmError> {
-        use crate::checkpoint::{corrupt, p_bool, p_f64, p_u32, p_u64};
-        let t = r.line("faultplan", 16)?;
-        let crash = match &t[16..] {
-            ["none"] => None,
-            ["boundary", round] => Some(FaultKind::Crash {
-                round: p_u64(round)?,
-                point: CrashPoint::BetweenRounds,
-            }),
-            ["midmig", round, after] => Some(FaultKind::Crash {
-                round: p_u64(round)?,
-                point: CrashPoint::MidMigration {
-                    after_attempts: p_u64(after)?,
-                },
-            }),
-            ["panic", round] => Some(FaultKind::TenantPanic {
-                round: p_u64(round)?,
-            }),
-            ["stall", round, rounds] => Some(FaultKind::TenantStall {
-                round: p_u64(round)?,
-                rounds: p_u64(rounds)?,
-            }),
-            _ => return Err(corrupt("bad crash spec in faultplan")),
-        };
-        let degrade_tier = match t[10] {
-            "D" => Tier::Dram,
-            "P" => Tier::Pm,
-            other => return Err(corrupt(&format!("bad degrade tier {other:?} in faultplan"))),
-        };
-        let plan = FaultPlan {
-            seed: p_u64(t[0])?,
-            migration_fail_rate: p_f64(t[1])?,
-            migration_max_retries: p_u32(t[2])?,
-            pte_sample_dropout: p_f64(t[3])?,
-            pmc_event_dropout: p_f64(t[4])?,
-            dram_pressure_bytes: p_u64(t[5])?,
-            pressure_period_rounds: p_u64(t[6])?,
-            telemetry_blackout: p_f64(t[7])?,
-            checkpoint_write_fail_rate: p_f64(t[8])?,
-            page_poison_rate: p_f64(t[9])?,
-            degrade_tier,
-            degrade_period_rounds: p_u64(t[11])?,
-            degrade_lat_mult: p_f64(t[12])?,
-            degrade_bw_mult: p_f64(t[13])?,
-            offline_round: p_u64(t[14])?,
-            offline_bytes: p_u64(t[15])?,
-            crash,
-        };
-        plan.validate()?;
-        let t = r.line("faultstate", 4)?;
-        let (round, pte_draws, migration_calls, crashed) =
-            (p_u64(t[0])?, p_u64(t[1])?, p_u64(t[2])?, p_bool(t[3])?);
-        let t = r.line("faultstats", 11)?;
+    pub fn decode_state(r: &mut Reader<'_>) -> Result<Self, HmError> {
+        let plan = FaultPlan::decode(&mut r.line("faultplan")?)?;
+        let mut c = r.line("faultstate")?;
+        let (round, pte_draws) = (c.next("round")?, c.next("pte_draws")?);
+        let (migration_calls, crashed) = (c.next("migration_calls")?, c.next("crashed")?);
+        let mut c = r.line("faultstats")?;
         let stats = FaultStats {
-            migration_retries: p_u64(t[0])?,
-            failed_pages: p_u64(t[1])?,
-            dropped_pte_samples: p_u64(t[2])?,
-            dropped_pmc_events: p_u64(t[3])?,
-            blacked_out_bins: p_u64(t[4])?,
-            pressure_evictions: p_u64(t[5])?,
-            pages_poisoned: p_u64(t[6])?,
-            degraded_window_rounds: p_u64(t[7])?,
-            offlined_bytes: p_u64(t[8])?,
-            tenant_panics: p_u64(t[9])?,
-            stalled_rounds: p_u64(t[10])?,
+            migration_retries: c.next("migration_retries")?,
+            failed_pages: c.next("failed_pages")?,
+            dropped_pte_samples: c.next("dropped_pte_samples")?,
+            dropped_pmc_events: c.next("dropped_pmc_events")?,
+            blacked_out_bins: c.next("blacked_out_bins")?,
+            pressure_evictions: c.next("pressure_evictions")?,
+            pages_poisoned: c.next("pages_poisoned")?,
+            degraded_window_rounds: c.next("degraded_window_rounds")?,
+            offlined_bytes: c.next("offlined_bytes")?,
+            tenant_panics: c.next("tenant_panics")?,
+            stalled_rounds: c.next("stalled_rounds")?,
         };
         Ok(Self {
             plan,

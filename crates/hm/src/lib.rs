@@ -65,10 +65,7 @@ pub use cost::{phase_cost_detail, PhaseCostDetail, Regime};
 pub use epoch::EpochOutcome;
 pub use fault::{CrashPoint, FaultInjector, FaultKind, FaultPlan, FaultStats, FaultSummary};
 pub use object::{DataObject, ObjectId, ObjectSpec};
-pub use page::{
-    engine_jobs, set_engine_jobs, PageId, PageInfo, PageTable, RefTable, Run, PAGE_SIZE,
-    SHARD_PAGES,
-};
+pub use page::{PageId, PageInfo, PageTable, RefTable, Run, PAGE_SIZE, SHARD_PAGES};
 pub use runtime::{Executor, PlacementPolicy, RoundReport, RunReport, TaskResult, WatchdogConfig};
 pub use service::{
     BreakerConfig, BreakerState, PlacementService, ServiceConfig, ServiceReport, ShedReason,

@@ -29,7 +29,6 @@
 
 use std::collections::BTreeSet;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use serde::{Deserialize, Serialize};
 
@@ -53,36 +52,17 @@ pub const SHARD_PAGES: u64 = 1 << 16;
 /// dominate.
 const PAR_MIN_SHARDS: usize = 8;
 
-/// In auto mode (`set_engine_jobs(0)`), spans whose total run count is
-/// below this also stay sequential: spawning the worker pool costs tens
-/// of microseconds, while scanning a well-coalesced span costs tens of
+/// In auto mode (`merch_sched::set_pool_jobs(0)`), spans whose total run
+/// count is below this also stay sequential: spawning the worker pool costs
+/// tens of microseconds, while scanning a well-coalesced span costs tens of
 /// nanoseconds per run, so parallelism only pays once the span carries
-/// real work. An explicit `set_engine_jobs(n >= 2)` bypasses the work
+/// real work. An explicit `set_pool_jobs(n >= 2)` bypasses the work
 /// estimate — the `--jobs`-independence tests force both paths that way,
 /// and results are identical on either path by construction.
 const PAR_MIN_RUNS: usize = 16_384;
 
 /// Global page identifier.
 pub type PageId = u64;
-
-static ENGINE_JOBS: AtomicUsize = AtomicUsize::new(0);
-
-/// Set the worker count for parallel shard phases (0 = auto-detect).
-/// Mirrors `merch_bench::par::set_sweep_jobs`; the engine lives below that
-/// crate in the dependency graph, so it carries its own knob.
-pub fn set_engine_jobs(jobs: usize) {
-    ENGINE_JOBS.store(jobs, Ordering::Relaxed);
-}
-
-/// Effective worker count for parallel shard phases.
-pub fn engine_jobs() -> usize {
-    match ENGINE_JOBS.load(Ordering::Relaxed) {
-        0 => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        n => n,
-    }
-}
 
 fn tier_idx(tier: Tier) -> usize {
     match tier {
@@ -875,17 +855,14 @@ impl PageTable {
         if s1 - s0 + 1 < PAR_MIN_SHARDS {
             return 1;
         }
-        match ENGINE_JOBS.load(Ordering::Relaxed) {
-            0 => {
-                let runs: usize = self.shards[s0..=s1].iter().map(|s| s.live as usize).sum();
-                if runs < PAR_MIN_RUNS {
-                    1
-                } else {
-                    engine_jobs()
-                }
+        merch_sched::pool_jobs_override().unwrap_or_else(|| {
+            let runs: usize = self.shards[s0..=s1].iter().map(|s| s.live as usize).sum();
+            if runs < PAR_MIN_RUNS {
+                1
+            } else {
+                merch_sched::pool_jobs()
             }
-            n => n,
-        }
+        })
     }
 
     /// Parallel split-apply-coalesce for state-pure mutations (the new
@@ -1724,15 +1701,14 @@ mod tests {
         reference.extend_for_object(ObjectId(0), Tier::Pm, vec![1.0 / n as f64; n as usize]);
         reference.set_tier_range(SHARD_PAGES - 5..SHARD_PAGES + 5, Tier::Dram);
         let spec = reference.scan_weight_sums(0..n);
-        let prev = engine_jobs();
         for jobs in [1, 2, 7] {
-            set_engine_jobs(jobs);
+            merch_sched::set_pool_jobs(jobs);
             let got = pt.scan_weight_sums(0..n);
             assert_eq!(got.0.to_bits(), spec.0.to_bits(), "jobs={jobs}");
             assert_eq!(got.1[0].to_bits(), spec.1[0].to_bits(), "jobs={jobs}");
             assert_eq!(got.1[1].to_bits(), spec.1[1].to_bits(), "jobs={jobs}");
         }
-        set_engine_jobs(prev);
+        merch_sched::set_pool_jobs(0);
         reference.assert_matches(&pt);
     }
 

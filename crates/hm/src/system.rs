@@ -5,6 +5,7 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
+use crate::checkpoint::{corrupt, esc, tier_token, Put, Reader};
 use crate::config::{HmConfig, Tier};
 use crate::epoch::{EpochOutcome, EpochState};
 use crate::fault::{FaultInjector, FaultPlan, FaultStats};
@@ -967,122 +968,113 @@ impl HmSystem {
     /// and the fault injector (plan + cursors + stats) when armed. Floats
     /// use `{:?}` (shortest round-trip), so decode restores them bit-exact.
     pub fn encode_state(&self, out: &mut String) {
-        use std::fmt::Write as _;
         let c = &self.config;
-        writeln!(
-            out,
-            "hmconfig {} {:?} {:?} {:?} {:?}",
+        out.put(format_args!(
+            "hmconfig {} {:?} {:?} {:?} {:?}\n",
             c.llc_bytes,
             c.per_task_bw_cap,
             c.tier_overlap,
             c.page_migration_ns,
             c.migration_parallelism
-        )
-        .expect("writing to String cannot fail");
-        for (tag, t) in [("D", &c.dram), ("P", &c.pm)] {
-            writeln!(
-                out,
-                "tier {tag} {:?} {:?} {:?} {:?} {}",
-                t.latency_seq_ns, t.latency_rand_ns, t.read_bw_gbps, t.write_bw_gbps, t.capacity
-            )
-            .expect("writing to String cannot fail");
+        ));
+        for tier in [Tier::Dram, Tier::Pm] {
+            let t = c.tier(tier);
+            out.put(format_args!(
+                "tier {} {:?} {:?} {:?} {:?} {}\n",
+                tier_token(tier),
+                t.latency_seq_ns,
+                t.latency_rand_ns,
+                t.read_bw_gbps,
+                t.write_bw_gbps,
+                t.capacity
+            ));
         }
-        writeln!(
-            out,
-            "syscounters {} {} {:?} {} {} {}",
+        out.put(format_args!(
+            "syscounters {} {} {:?} {} {} {}\n",
             self.total_migrations,
             self.total_migration_attempts,
             self.total_backoff_ns,
             self.seed,
             self.epoch_commits,
             self.epoch_rollbacks
-        )
-        .expect("writing to String cannot fail");
+        ));
         let quota = self.dram_quota.map(|q| q as i64).unwrap_or(-1);
-        writeln!(out, "dramquota {quota}").expect("writing to String cannot fail");
-        writeln!(out, "offlined {}", self.offlined_bytes).expect("writing to String cannot fail");
-        writeln!(out, "objects {}", self.objects.len()).expect("writing to String cannot fail");
+        out.put(format_args!("dramquota {quota}\n"));
+        out.put(format_args!("offlined {}\n", self.offlined_bytes));
+        out.put(format_args!("objects {}\n", self.objects.len()));
         for o in &self.objects {
             let owner = o.owner_task.map(|t| t as i64).unwrap_or(-1);
-            writeln!(
-                out,
-                "object {} {} {} {} {} {owner}",
+            out.put(format_args!(
+                "object {} {} {} {} {} {owner}\n",
                 o.id.0,
-                crate::checkpoint::esc(&o.name),
+                esc(&o.name),
                 o.size,
                 o.first_page,
                 o.num_pages
-            )
-            .expect("writing to String cannot fail");
+            ));
         }
         // The page table persists as extents — one `x` line per
         // run (`len object tier weight accessed count migrations`; starts
         // are implicit, runs are written in page order). A 1e8-page table
         // with a handful of objects checkpoints in a few hundred bytes.
-        writeln!(
-            out,
-            "extents {} {}",
+        out.put(format_args!(
+            "extents {} {}\n",
             self.page_table.num_extents(),
             self.page_table.len()
-        )
-        .expect("writing to String cannot fail");
+        ));
         for r in self.page_table.runs() {
             let p = &r.info;
-            let tier = if p.tier() == Tier::Dram { "D" } else { "P" };
-            writeln!(
-                out,
-                "x {} {} {tier} {:?} {} {:?} {}",
+            out.put(format_args!(
+                "x {} {} {} {:?} {} {:?} {}\n",
                 r.len,
                 p.object.0,
+                tier_token(p.tier()),
                 p.weight(),
                 p.accessed as u8,
                 p.access_count,
                 p.migrations
-            )
-            .expect("writing to String cannot fail");
+            ));
         }
-        write!(out, "quarantine {}", self.page_table.quarantined_count())
-            .expect("writing to String cannot fail");
+        out.put(format_args!(
+            "quarantine {}",
+            self.page_table.quarantined_count()
+        ));
         for id in self.page_table.quarantined() {
-            write!(out, " {id}").expect("writing to String cannot fail");
+            out.put(format_args!(" {id}"));
         }
-        writeln!(out).expect("writing to String cannot fail");
+        out.push('\n');
         match &self.fault {
-            None => writeln!(out, "fault 0").expect("writing to String cannot fail"),
+            None => out.push_str("fault 0\n"),
             Some(inj) => {
-                writeln!(out, "fault 1").expect("writing to String cannot fail");
+                out.push_str("fault 1\n");
                 inj.encode_state(out);
             }
         }
     }
 
     /// Restore a system serialized by [`encode_state`](Self::encode_state).
-    pub fn decode_state(r: &mut crate::checkpoint::Reader<'_>) -> Result<Self, HmError> {
-        use crate::checkpoint::{corrupt, p_bool, p_f64, p_u32, p_u64, p_usize, unesc};
+    pub fn decode_state(r: &mut Reader<'_>) -> Result<Self, HmError> {
         use crate::config::TierParams;
-        let t = r.line("hmconfig", 5)?;
-        let (llc_bytes, per_task_bw_cap, tier_overlap, page_migration_ns, migration_parallelism) = (
-            p_u64(t[0])?,
-            p_f64(t[1])?,
-            p_f64(t[2])?,
-            p_f64(t[3])?,
-            p_f64(t[4])?,
-        );
-        let mut tier_params = |tag: &str| -> Result<TierParams, HmError> {
-            let t = r.line("tier", 6)?;
-            if t[0] != tag {
-                return Err(corrupt("tier lines out of order"));
+        let mut c = r.line("hmconfig")?;
+        let (llc_bytes, per_task_bw_cap) = (c.next("llc_bytes")?, c.next("per_task_bw_cap")?);
+        let (tier_overlap, page_migration_ns) =
+            (c.next("tier_overlap")?, c.next("page_migration_ns")?);
+        let migration_parallelism = c.next("migration_parallelism")?;
+        let mut tier_params = |tier: Tier| -> Result<TierParams, HmError> {
+            let mut c = r.line("tier")?;
+            if c.next::<Tier>("tier")? != tier {
+                return Err(c.invalid("tier", "tier lines out of order"));
             }
             Ok(TierParams {
-                latency_seq_ns: p_f64(t[1])?,
-                latency_rand_ns: p_f64(t[2])?,
-                read_bw_gbps: p_f64(t[3])?,
-                write_bw_gbps: p_f64(t[4])?,
-                capacity: p_u64(t[5])?,
+                latency_seq_ns: c.next("latency_seq_ns")?,
+                latency_rand_ns: c.next("latency_rand_ns")?,
+                read_bw_gbps: c.next("read_bw_gbps")?,
+                write_bw_gbps: c.next("write_bw_gbps")?,
+                capacity: c.next("capacity")?,
             })
         };
-        let dram = tier_params("D")?;
-        let pm = tier_params("P")?;
+        let dram = tier_params(Tier::Dram)?;
+        let pm = tier_params(Tier::Pm)?;
         let config = HmConfig {
             dram,
             pm,
@@ -1092,85 +1084,75 @@ impl HmSystem {
             page_migration_ns,
             migration_parallelism,
         };
-        let t = r.line("syscounters", 6)?;
-        let (total_migrations, total_migration_attempts, total_backoff_ns, seed) =
-            (p_u64(t[0])?, p_u64(t[1])?, p_f64(t[2])?, p_u64(t[3])?);
-        let (epoch_commits, epoch_rollbacks) = (p_u64(t[4])?, p_u64(t[5])?);
-        let t = r.line("dramquota", 1)?;
-        let quota: i64 = t[0].parse().map_err(|_| corrupt("bad dram quota"))?;
+        let mut c = r.line("syscounters")?;
+        let (total_migrations, total_migration_attempts) = (
+            c.next("total_migrations")?,
+            c.next("total_migration_attempts")?,
+        );
+        let (total_backoff_ns, seed) = (c.next("total_backoff_ns")?, c.next("seed")?);
+        let (epoch_commits, epoch_rollbacks) =
+            (c.next("epoch_commits")?, c.next("epoch_rollbacks")?);
+        let quota: i64 = r.line("dramquota")?.next("quota")?;
         let dram_quota = (quota >= 0).then_some(quota as u64);
-        let t = r.line("offlined", 1)?;
-        let offlined_bytes = p_u64(t[0])?;
-        let t = r.line("objects", 1)?;
-        let num_objects = p_usize(t[0])?;
+        let offlined_bytes = r.line("offlined")?.next("bytes")?;
+        let num_objects: usize = r.line("objects")?.next("objects")?;
         let mut objects = Vec::new();
         let mut by_name = BTreeMap::new();
         for k in 0..num_objects {
-            let t = r.line("object", 6)?;
-            let id = ObjectId(p_u32(t[0])?);
+            let mut c = r.line("object")?;
+            let id = ObjectId(c.next("id")?);
             if id.0 as usize != k {
-                return Err(corrupt("object ids not dense"));
+                return Err(c.invalid("id", "object ids not dense"));
             }
-            let name = unesc(t[1])?;
-            let owner: i64 = t[5].parse().map_err(|_| corrupt("bad owner_task"))?;
+            let name: String = c.next("name")?;
+            let (size, first_page, num_pages) =
+                (c.next("size")?, c.next("first_page")?, c.next("num_pages")?);
+            let owner: i64 = c.next("owner_task")?;
             by_name.insert(name.clone(), id);
             objects.push(DataObject {
                 id,
                 name,
-                size: p_u64(t[2])?,
-                first_page: p_u64(t[3])?,
-                num_pages: p_u64(t[4])?,
+                size,
+                first_page,
+                num_pages,
                 owner_task: (owner >= 0).then_some(owner as usize),
             });
         }
         // Extent framing: `extents <runs> <pages>` then one `x` line per
         // run, starts implicit in page order.
-        let t = r.line("extents", 2)?;
-        let num_runs = p_usize(t[0])?;
-        let num_pages = p_u64(t[1])?;
+        let mut c = r.line("extents")?;
+        let (num_runs, num_pages): (usize, u64) = (c.next("runs")?, c.next("pages")?);
         let mut page_table = PageTable::default();
         for _ in 0..num_runs {
-            let t = r.line("x", 7)?;
-            let len = p_u64(t[0])?;
+            let mut c = r.line("x")?;
+            let len: u64 = c.next("len")?;
             // Reject an over-long run before the table grows to hold it.
             if len > num_pages - page_table.len() as u64 {
-                return Err(corrupt("extent lengths exceed the page count"));
+                return Err(c.invalid("len", "extent lengths exceed the page count"));
             }
-            let tier = match t[2] {
-                "D" => Tier::Dram,
-                "P" => Tier::Pm,
-                _ => return Err(corrupt("bad extent tier")),
-            };
-            page_table.push_raw_run(
-                len,
-                crate::page::PageInfo::restore(
-                    ObjectId(p_u32(t[1])?),
-                    tier,
-                    p_f64(t[3])?,
-                    p_bool(t[4])?,
-                    p_f64(t[5])?,
-                    p_u32(t[6])?,
-                ),
+            let info = crate::page::PageInfo::restore(
+                ObjectId(c.next("object")?),
+                c.next("tier")?,
+                c.next("weight")?,
+                c.next("accessed")?,
+                c.next("access_count")?,
+                c.next("migrations")?,
             );
+            page_table.push_raw_run(len, info);
         }
         if page_table.len() as u64 != num_pages {
             return Err(corrupt("extent lengths do not sum to the page count"));
         }
         page_table.flush_aggregates();
-        let t = r.line("quarantine", 1)?;
-        let num_quarantined = p_usize(t[0])?;
-        if t.len() - 1 != num_quarantined {
-            return Err(corrupt("quarantine id count mismatch"));
-        }
-        for tok in &t[1..] {
-            let id = p_u64(tok)?;
+        let mut c = r.line("quarantine")?;
+        for id in c.list::<u64>("ids")? {
             if id >= num_pages {
-                return Err(corrupt("quarantined page id out of range"));
+                return Err(c.invalid("ids", "quarantined page id out of range"));
             }
             page_table.quarantine_page(id);
         }
-        let t = r.line("fault", 1)?;
-        let fault = if p_bool(t[0])? {
+        c.end()?;
+        let fault = if r.line("fault")?.next("armed")? {
             Some(FaultInjector::decode_state(r)?)
         } else {
             None

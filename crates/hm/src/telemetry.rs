@@ -6,6 +6,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::checkpoint::{corrupt, Put, Reader};
 use crate::runtime::{RoundReport, TaskResult};
 use crate::system::HmError;
 
@@ -217,18 +218,15 @@ impl BandwidthTimeline {
     /// bins themselves are rebuilt from the checkpoint's completed rounds
     /// by [`decode_state`](Self::decode_state).
     pub fn encode_state(&self, out: &mut String) {
-        use std::fmt::Write as _;
-        write!(
-            out,
+        out.put(format_args!(
             "timeline {:?} {:?} {} {}",
             self.bin_ns,
             self.clock_ns,
             self.dram_bytes.len(),
             self.lost.len()
-        )
-        .expect("writing to String cannot fail");
+        ));
         for bin in &self.lost {
-            write!(out, " {bin}").expect("writing to String cannot fail");
+            out.put(format_args!(" {bin}"));
         }
         out.push('\n');
     }
@@ -241,17 +239,15 @@ impl BandwidthTimeline {
     /// the live bins bit for bit. The rebuilt clock bits and bin count must
     /// equal the header's, and the rebuild never grows past the header's
     /// bin count, so a corrupt duration cannot allocate without bound.
-    pub fn decode_state(
-        r: &mut crate::checkpoint::Reader<'_>,
-        rounds: &[RoundReport],
-    ) -> Result<Self, HmError> {
-        use crate::checkpoint::{corrupt, p_f64, p_usize};
-        let t = r.line("timeline", 4)?;
-        let (bin_ns, clock_ns) = (p_f64(t[0])?, p_f64(t[1])?);
-        let (bins, n_lost) = (p_usize(t[2])?, p_usize(t[3])?);
-        if t.len() - 4 != n_lost {
-            return Err(corrupt("timeline lost-bin count does not match its list"));
+    pub fn decode_state(r: &mut Reader<'_>, rounds: &[RoundReport]) -> Result<Self, HmError> {
+        let mut c = r.line("timeline")?;
+        let (bin_ns, clock_ns): (f64, f64) = (c.next("bin_ns")?, c.next("clock_ns")?);
+        let bins: usize = c.next("bins")?;
+        let lost: Vec<usize> = c.list("lost")?;
+        if let Some(bin) = lost.iter().find(|&&bin| bin >= bins) {
+            return Err(c.invalid("lost", format_args!("lost bin {bin} out of range")));
         }
+        c.end()?;
         let mut tl = Self::try_new(bin_ns)?;
         for round in rounds {
             let start = tl.clock_ns + round.migration_ns;
@@ -270,11 +266,7 @@ impl BandwidthTimeline {
                 "timeline header does not match the completed rounds",
             ));
         }
-        for tok in &t[4..] {
-            let bin = p_usize(tok)?;
-            if bin >= bins {
-                return Err(corrupt("lost timeline bin out of range"));
-            }
+        for bin in lost {
             tl.blackout_bin(bin);
         }
         Ok(tl)

@@ -117,14 +117,21 @@ pub fn set_pool_jobs(n: usize) {
     POOL_JOBS.store(n, Ordering::SeqCst);
 }
 
+/// The job count set by [`set_pool_jobs`], or `None` in auto mode.
+pub fn pool_jobs_override() -> Option<usize> {
+    match POOL_JOBS.load(Ordering::SeqCst) {
+        0 => None,
+        n => Some(n),
+    }
+}
+
 /// Effective pool job count (the knob, not the live worker count).
 pub fn pool_jobs() -> usize {
-    match POOL_JOBS.load(Ordering::SeqCst) {
-        0 => std::thread::available_parallelism()
+    pool_jobs_override().unwrap_or_else(|| {
+        std::thread::available_parallelism()
             .map(|n| n.get())
-            .unwrap_or(1),
-        n => n,
-    }
+            .unwrap_or(1)
+    })
 }
 
 type Job = Box<dyn FnOnce() + Send + 'static>;

@@ -1,8 +1,9 @@
 //! Checkpoint/restart properties: crash → restore → replay must reproduce
 //! the uninterrupted run bit for bit, across apps, seeds, fault plans and
 //! crash points (round boundaries and mid-migration-batch), the policy
-//! state blob must round-trip losslessly, and the bandwidth timeline a
-//! checkpoint rebuilds from its completed rounds must equal the live one.
+//! state blob must round-trip losslessly, the bandwidth timeline a
+//! checkpoint rebuilds from its completed rounds must equal the live one,
+//! and format v7 is pinned byte for byte.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -10,11 +11,12 @@ use proptest::prelude::*;
 
 use merchandiser_suite::core::perfmodel::PerformanceModel;
 use merchandiser_suite::core::policy::MerchandiserPolicy;
+use merchandiser_suite::hm::checkpoint::fnv1a64;
 use merchandiser_suite::hm::page::PAGE_SIZE;
-use merchandiser_suite::hm::runtime::{Executor, PlacementPolicy, WatchdogConfig};
+use merchandiser_suite::hm::runtime::{Executor, PlacementPolicy, StaticPolicy, WatchdogConfig};
 use merchandiser_suite::hm::workload::testutil::SkewedWorkload;
 use merchandiser_suite::hm::{
-    Checkpoint, CrashPoint, FaultKind, FaultPlan, HmConfig, HmSystem, Wal,
+    Checkpoint, CrashPoint, FaultKind, FaultPlan, HmConfig, HmSystem, Tier, Wal,
 };
 use merchandiser_suite::models::{GradientBoostedRegressor, Regressor};
 use merchandiser_suite::patterns::ObjectPatternMap;
@@ -351,4 +353,97 @@ proptest! {
         }
         assert_timeline_rebuilds_at_every_boundary(&mut ex);
     }
+}
+
+/// fnv1a64 of `Checkpoint::encode()` and of its policy blob at every round
+/// boundary (the first included) of `ex`, checking on the way that each
+/// payload decodes and re-encodes to the same bytes.
+fn boundary_hashes<P: PlacementPolicy + Sync>(
+    mut ex: Executor<SkewedWorkload, P>,
+) -> (Vec<u64>, Vec<u64>, String) {
+    let (mut payloads, mut blobs) = (Vec::new(), Vec::new());
+    loop {
+        let ck = ex.checkpoint();
+        let text = ck.encode();
+        assert_eq!(Checkpoint::decode(&text).unwrap().encode(), text);
+        payloads.push(fnv1a64(text.as_bytes()));
+        blobs.push(fnv1a64(ck.policy_state.as_bytes()));
+        if ex.step().unwrap().is_none() {
+            return (payloads, blobs, text);
+        }
+    }
+}
+
+/// Checkpoint format v7, byte for byte: a fault-armed, watchdog-on run
+/// under Merchandiser and under a static policy, hashed at every round
+/// boundary. The hashes were taken from the decoder before it moved onto
+/// the shared field cursor, so a codec change that moves a byte fails
+/// here.
+#[test]
+fn checkpoint_bytes_are_pinned() {
+    const MERCHANDISER: [u64; 9] = [
+        0xe6db_49cb_8c98_dd06,
+        0x07f3_33f1_4a8c_8144,
+        0x0487_ee47_fa6d_583c,
+        0x7ce0_943c_cecc_f0e6,
+        0x2ed2_2773_bb83_0b28,
+        0xff9e_124d_5be2_bdb4,
+        0x42de_0734_7b73_61b3,
+        0x88af_d7e0_c7d6_f0a5,
+        0xb18c_4c10_7000_b494,
+    ];
+    const POLICY_BLOB: [u64; 9] = [
+        0x9787_899c_990b_e4be,
+        0x0195_2cac_d56f_90b6,
+        0x61cd_ad3d_382a_76da,
+        0x44e1_a570_074d_8f7e,
+        0xd7b7_7631_04a9_dcbe,
+        0xcf9a_4d36_daed_2e47,
+        0xf2e7_7eb8_9cf2_4a2b,
+        0x7155_e523_9402_82da,
+        0xf2a2_0153_c3df_fb1d,
+    ];
+    const STATIC: [u64; 9] = [
+        0xd6c8_504e_8ccd_ff44,
+        0x79bd_a1c9_8f0d_4cd6,
+        0xce80_4a30_0d07_e8a6,
+        0xd0d3_7f8d_e6e6_cb94,
+        0xcb5e_9799_d8c8_6213,
+        0x7b24_498b_aec5_01c7,
+        0xc6aa_60ce_bbf8_3a1d,
+        0xf1f3_26f2_209f_a032,
+        0xd3a0_ee39_dba7_02b4,
+    ];
+    let seed = 23;
+    let plan = FaultPlan::none()
+        .with_seed(seed)
+        .with_migration_failures(0.2, 2)
+        .with_sample_dropout(0.1, 0.1)
+        .with_dram_pressure(4 * PAGE_SIZE, 3)
+        .with_telemetry_blackout(0.3)
+        .with_checkpoint_write_failures(0.25)
+        .with_page_poison(0.2)
+        .with_degradation(Tier::Pm, 4, 1.5, 0.75)
+        .with_dram_offlining(3, 2 * PAGE_SIZE)
+        .with_tenant_stall(5, 2);
+    let watchdog = WatchdogConfig { slack: 0.05 };
+    let merchandiser =
+        Executor::new(system(&plan, seed), long_app(), policy(seed)).with_watchdog(watchdog);
+    let (payloads, blobs, last) = boundary_hashes(merchandiser);
+    assert_eq!(payloads, MERCHANDISER);
+    assert_eq!(blobs, POLICY_BLOB);
+    // The pinned payloads carry the scripted fault token, lost timeline
+    // bins, watchdog interventions and the policy's per-task profiles.
+    assert!(last.contains(" stall 5 2\n"), "{last}");
+    let back = Checkpoint::decode(&last).unwrap();
+    assert!(back.completed.iter().any(|r| r.straggler_events > 0));
+    assert!(back.sys.fault_stats().blacked_out_bins > 0);
+    let pinned = StaticPolicy { tier: Tier::Dram };
+    let fixed = Executor::new(system(&plan, seed), long_app(), pinned).with_watchdog(watchdog);
+    let (payloads, blobs, _) = boundary_hashes(fixed);
+    assert_eq!(payloads, STATIC);
+    assert!(
+        blobs.iter().all(|&h| h == fnv1a64(b"")),
+        "a static policy has no blob"
+    );
 }

@@ -350,6 +350,38 @@ fn overflowing_pending_length_is_corrupt() {
     assert_corrupt(policy().restore_state(&bad));
 }
 
+/// A bad token names its line and its record's tag: one case per decoder
+/// that reads through the shared field cursor.
+#[test]
+fn corrupt_tokens_name_their_line_and_tag() {
+    /// `got` must be `CheckpointCorrupt` naming the line of `text`'s first
+    /// `tag` record, the tag and the bad token.
+    fn assert_located(text: &str, tag: &str, got: Result<(), HmError>) {
+        let line_no = 1
+            + (text.lines())
+                .position(|l| l.split_whitespace().next() == Some(tag))
+                .unwrap_or_else(|| panic!("no `{tag}` line"));
+        let Err(HmError::CheckpointCorrupt(msg)) = got else {
+            panic!("a bad `{tag}` token must be CheckpointCorrupt: {got:?}");
+        };
+        assert!(
+            msg.contains(&format!("line {line_no},"))
+                && msg.contains(&format!("`{tag}`"))
+                && msg.contains("bad value `x7`"),
+            "{msg}"
+        );
+    }
+    let v = valid();
+    for (tag, i) in [("round", 9), ("x", 3), ("faultplan", 1)] {
+        let bad = with_token(&v.checkpoint, tag, i, "x7");
+        assert_located(&v.checkpoint, tag, Checkpoint::decode(&bad).map(drop));
+    }
+    for (tag, i) in [("e", 2), ("ste", 1)] {
+        let bad = with_token(&v.policy, tag, i, "x7");
+        assert_located(&v.policy, tag, policy().restore_state(&bad));
+    }
+}
+
 #[test]
 fn huge_tree_node_count_is_invalid_data() {
     model_count_rejected("tree");

@@ -18,8 +18,8 @@ use proptest::prelude::*;
 use merchandiser_suite::hm::checkpoint::Reader;
 use merchandiser_suite::hm::page::page_weights;
 use merchandiser_suite::hm::{
-    set_engine_jobs, FaultPlan, HmConfig, HmSystem, ObjectId, ObjectSpec, PageTable, RefTable,
-    Tier, PAGE_SIZE, SHARD_PAGES,
+    FaultPlan, HmConfig, HmSystem, ObjectId, ObjectSpec, PageTable, RefTable, Tier, PAGE_SIZE,
+    SHARD_PAGES,
 };
 
 #[derive(Debug, Clone)]
@@ -446,7 +446,7 @@ proptest! {
         };
         let mut outputs: Vec<(String, u64, u64, u64)> = Vec::new();
         for jobs in [1usize, 3, 8] {
-            set_engine_jobs(jobs);
+            merch_sched::set_pool_jobs(jobs);
             let mut pt = PageTable::default();
             pt.extend_uniform_for_object(ObjectId(0), Tier::Pm, N, 1.0 / N as f64);
             for op in &ops {
@@ -479,7 +479,7 @@ proptest! {
                 by_tier[1].to_bits(),
             ));
         }
-        set_engine_jobs(0); // back to auto for the rest of the binary
+        merch_sched::set_pool_jobs(0); // back to auto for the rest of the binary
         prop_assert_eq!(&outputs[0], &outputs[1], "jobs=1 vs jobs=3");
         prop_assert_eq!(&outputs[0], &outputs[2], "jobs=1 vs jobs=8");
     }
