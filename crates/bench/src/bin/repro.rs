@@ -74,9 +74,8 @@ fn main() {
             "--jobs" => {
                 match it.next().and_then(|s| s.parse::<usize>().ok()) {
                     Some(n) if n >= 1 => {
-                        // One pool runs sweep cells, tenant rounds (which
-                        // `serve` runs concurrently at --jobs >= 2) and the
-                        // page engine's shard phases.
+                        // One pool runs sweep cells and tenant rounds
+                        // (which `serve` runs concurrently at --jobs >= 2).
                         merch_sched::set_pool_jobs(n);
                     }
                     _ => {
@@ -537,7 +536,7 @@ fn main() {
             }
         }));
         if let Err(p) = dispatch {
-            let msg = merch_bench::par::payload_msg(p.as_ref());
+            let msg = merch_sched::payload_msg(p.as_ref());
             let _ = writeln!(out, "# aborted: {msg}");
             let _ = out.flush();
             eprintln!("error: experiment `{w}` aborted: {msg}");

@@ -6,8 +6,8 @@
 //! no mutable state and their results do not depend on scheduling.
 //! [`par_map`] runs the cells as [`merch_sched::TaskClass::Sweep`] tasks on
 //! the process-wide [`merch_sched`] pool — the same pool that executes
-//! tenant rounds and page-engine shard phases, so a sweep whose cells fan
-//! out shard work never oversubscribes the machine — and returns the
+//! the service's tenant rounds, so a sweep whose cells run a concurrent
+//! service never oversubscribes the machine — and returns the
 //! results **in input order**, so the emitted tables are byte-identical to
 //! a sequential sweep no matter how the OS interleaves the workers. All
 //! waiting is condvar-based (the pool parks idle workers and wakes them on
@@ -26,14 +26,6 @@ use std::sync::Mutex;
 /// Serialises tests that set the process-global pool job count.
 #[cfg(test)]
 pub(crate) static JOBS_LOCK: Mutex<()> = Mutex::new(());
-
-/// Best-effort extraction of a panic payload's message (`panic!` with a
-/// format string yields `String`, with a literal yields `&str`). Shared
-/// with the scheduler, whose re-raised payloads already carry the failing
-/// task's class label (`sweep-cell` / `tenant-round` / `shard-phase`).
-pub fn payload_msg(p: &(dyn std::any::Any + Send)) -> String {
-    merch_sched::payload_msg(p)
-}
 
 /// The first failing cell of an aborted sweep: its input index and the
 /// original panic message.
@@ -75,7 +67,7 @@ where
                 Err(p) => {
                     let abort = SweepAbort {
                         cell: i,
-                        message: payload_msg(p.as_ref()),
+                        message: merch_sched::payload_msg(p.as_ref()),
                     };
                     return Err((done, abort));
                 }
@@ -105,7 +97,7 @@ where
             Err(p) => {
                 let mut fail = failure.lock().expect("failure slot poisoned");
                 if fail.is_none() {
-                    *fail = Some((i, payload_msg(p.as_ref())));
+                    *fail = Some((i, merch_sched::payload_msg(p.as_ref())));
                 }
                 // Park the cursor past the end so no worker starts
                 // another cell of a doomed sweep.
@@ -211,7 +203,7 @@ mod tests {
             })
         });
         merch_sched::set_pool_jobs(0);
-        let msg = payload_msg(r.expect_err("the cell panic must propagate").as_ref());
+        let msg = merch_sched::payload_msg(r.expect_err("the cell panic must propagate").as_ref());
         assert!(msg.contains("sweep cell 5 panicked"), "{msg}");
         assert!(msg.contains("boom 5"), "{msg}");
     }
@@ -283,7 +275,7 @@ mod tests {
             })
         });
         merch_sched::set_pool_jobs(0);
-        let msg = payload_msg(r.expect_err("the cell panic must propagate").as_ref());
+        let msg = merch_sched::payload_msg(r.expect_err("the cell panic must propagate").as_ref());
         assert!(msg.contains("sweep cell 1 panicked"), "{msg}");
         assert!(msg.contains("kapow"), "{msg}");
     }

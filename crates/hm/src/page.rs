@@ -15,10 +15,10 @@
 //! whole-table sweeps (record, age, reset) cost O(runs), not O(pages).
 //!
 //! The run space is sharded by page range ([`SHARD_PAGES`] pages per
-//! shard; runs never cross a shard boundary) so round phases can run in
-//! parallel across shards. Every parallel phase merges its per-shard
-//! results in ascending shard order, which keeps all outputs byte-identical
-//! to the sequential engine regardless of the job count.
+//! shard; runs never cross a shard boundary), which bounds every run-list
+//! walk and the `u16` node length. Every phase is sequential: it visits
+//! shards in ascending order and folds their partial results in that
+//! order.
 //!
 //! Weighted sums follow one fixed *streak* specification everywhere (see
 //! [`PageTable::scan_weight_sums`]): within each shard, maximal
@@ -42,24 +42,9 @@ pub const PAGE_SIZE: u64 = 4096;
 pub const PAGES_PER_HUGE_REGION: u64 = (2 << 20) / PAGE_SIZE;
 
 /// Pages per extent shard. Runs never cross a shard boundary and weighted
-/// streak sums break here, so per-shard partials are independent of how
-/// work is divided among threads. 2^16 pages = 256 MiB of address space
-/// per shard; every unit-test-sized table fits in one shard, where the
-/// engine is exactly the serial specification.
+/// streak sums break here. 2^16 pages = 256 MiB of address space per
+/// shard; every table the workloads build fits in one shard.
 pub const SHARD_PAGES: u64 = 1 << 16;
-
-/// Shard spans below this stay sequential — thread spawn overhead would
-/// dominate.
-const PAR_MIN_SHARDS: usize = 8;
-
-/// In auto mode (`merch_sched::set_pool_jobs(0)`), spans whose total run
-/// count is below this also stay sequential: spawning the worker pool costs
-/// tens of microseconds, while scanning a well-coalesced span costs tens of
-/// nanoseconds per run, so parallelism only pays once the span carries
-/// real work. An explicit `set_pool_jobs(n >= 2)` bypasses the work
-/// estimate — the `--jobs`-independence tests force both paths that way,
-/// and results are identical on either path by construction.
-const PAR_MIN_RUNS: usize = 16_384;
 
 /// Global page identifier.
 pub type PageId = u64;
@@ -476,106 +461,6 @@ impl Shard {
     }
 }
 
-/// Run `f` over each shard of `shards` on up to `jobs` executors, returning
-/// per-shard results in ascending shard order (index passed to `f` is the
-/// offset within `shards`). Deterministic: the work split never affects
-/// the result order.
-///
-/// Shard phases run as [`TaskClass::Shard`] tasks on the unified
-/// [`merch_sched`] pool: `jobs - 1` chunks are queued and the submitting
-/// thread runs the first chunk itself (then helps drain queued shard
-/// tasks inside the scope wait), so an explicit `jobs` means at most
-/// `jobs` concurrent chunk executors and N tenants each fanning out M
-/// shards share one pool instead of oversubscribing N*M threads.
-fn par_map_mut<T: Send>(
-    shards: &mut [Shard],
-    jobs: usize,
-    f: &(dyn Fn(usize, &mut Shard) -> T + Sync),
-) -> Vec<T> {
-    use merch_sched::{JobOutcome, TaskClass};
-    let n = shards.len();
-    let chunk = n.div_ceil(jobs.max(1)).max(1);
-    merch_sched::ensure_workers(jobs.saturating_sub(1));
-    let mut out: Vec<Option<T>> = Vec::with_capacity(n);
-    out.resize_with(n, || None);
-    let ((), outcome) = merch_sched::try_scope(TaskClass::Shard, |scope| {
-        let mut chunks = shards
-            .chunks_mut(chunk)
-            .zip(out.chunks_mut(chunk))
-            .enumerate();
-        let first = chunks.next();
-        for (ci, (sh, slots)) in chunks {
-            scope.spawn(move || {
-                for (j, (shard, slot)) in sh.iter_mut().zip(slots.iter_mut()).enumerate() {
-                    *slot = Some(f(ci * chunk + j, shard));
-                }
-            });
-        }
-        if let Some((ci, (sh, slots))) = first {
-            for (j, (shard, slot)) in sh.iter_mut().zip(slots.iter_mut()).enumerate() {
-                *slot = Some(f(ci * chunk + j, shard));
-            }
-        }
-    });
-    if matches!(outcome, JobOutcome::Panicked { .. }) {
-        // A panicked chunk task left its untouched slots `None` and their
-        // shards unmodified, so recomputing exactly those on the caller's
-        // thread is byte-identical to a clean parallel pass (slot i
-        // depends only on shard i). A fault that strikes again here
-        // unwinds from the caller — never through the pool.
-        for (i, (shard, slot)) in shards.iter_mut().zip(out.iter_mut()).enumerate() {
-            if slot.is_none() {
-                *slot = Some(f(i, shard));
-            }
-        }
-    }
-    out.into_iter()
-        .map(|o| o.expect("every shard visited"))
-        .collect()
-}
-
-/// Read-only sibling of [`par_map_mut`].
-fn par_map_ref<T: Send>(
-    shards: &[Shard],
-    jobs: usize,
-    f: &(dyn Fn(usize, &Shard) -> T + Sync),
-) -> Vec<T> {
-    use merch_sched::{JobOutcome, TaskClass};
-    let n = shards.len();
-    let chunk = n.div_ceil(jobs.max(1)).max(1);
-    merch_sched::ensure_workers(jobs.saturating_sub(1));
-    let mut out: Vec<Option<T>> = Vec::with_capacity(n);
-    out.resize_with(n, || None);
-    let ((), outcome) = merch_sched::try_scope(TaskClass::Shard, |scope| {
-        let mut chunks = shards.chunks(chunk).zip(out.chunks_mut(chunk)).enumerate();
-        let first = chunks.next();
-        for (ci, (sh, slots)) in chunks {
-            scope.spawn(move || {
-                for (j, (shard, slot)) in sh.iter().zip(slots.iter_mut()).enumerate() {
-                    *slot = Some(f(ci * chunk + j, shard));
-                }
-            });
-        }
-        if let Some((ci, (sh, slots))) = first {
-            for (j, (shard, slot)) in sh.iter().zip(slots.iter_mut()).enumerate() {
-                *slot = Some(f(ci * chunk + j, shard));
-            }
-        }
-    });
-    if matches!(outcome, JobOutcome::Panicked { .. }) {
-        // Sequential fallback for the slots a dead chunk never reached
-        // (see par_map_mut) — read-only here, so trivially identical.
-        for (i, (shard, slot)) in shards.iter().zip(out.iter_mut()).enumerate() {
-            if slot.is_none() {
-                *slot = Some(f(i, shard));
-            }
-        }
-    }
-    out.into_iter()
-        .map(|o| o.expect("every shard visited"))
-        .collect()
-}
-
 /// Per-object weighted-residency aggregate: the running sums
 /// `weighted_fraction_in` needs, maintained incrementally so whole-object
 /// queries skip the run scan.
@@ -847,44 +732,6 @@ impl PageTable {
         }
     }
 
-    /// Worker count a parallel phase over shards `s0..=s1` should use;
-    /// `<= 1` means stay on the sequential path. Explicit job counts are
-    /// honoured as set; auto mode additionally requires enough total runs
-    /// in the span ([`PAR_MIN_RUNS`]) to amortize the pool spawn.
-    fn span_jobs(&self, s0: usize, s1: usize) -> usize {
-        if s1 - s0 + 1 < PAR_MIN_SHARDS {
-            return 1;
-        }
-        merch_sched::pool_jobs_override().unwrap_or_else(|| {
-            let runs: usize = self.shards[s0..=s1].iter().map(|s| s.live as usize).sum();
-            if runs < PAR_MIN_RUNS {
-                1
-            } else {
-                merch_sched::pool_jobs()
-            }
-        })
-    }
-
-    /// Parallel split-apply-coalesce for state-pure mutations (the new
-    /// value of a page depends only on its prior state). Falls back to the
-    /// sequential path for small spans or `jobs <= 1`; results are
-    /// identical either way because shards are independent.
-    fn apply_par(&mut self, range: Range<PageId>, f: impl Fn(&mut PageInfo, u64) + Sync) {
-        let Some((s0, s1)) = self.shard_span(&range) else {
-            return;
-        };
-        let jobs = self.span_jobs(s0, s1);
-        if jobs <= 1 {
-            for si in s0..=s1 {
-                self.shards[si].apply(&range, &mut |p, l| f(p, l));
-            }
-            return;
-        }
-        par_map_mut(&mut self.shards[s0..=s1], jobs, &|_, sh| {
-            sh.apply(&range, &mut |p, l| f(p, l));
-        });
-    }
-
     fn mark_dirty(&mut self, object: ObjectId) {
         match self.aggs.get_mut(object.0 as usize) {
             Some(a) if !a.dirty => {
@@ -914,45 +761,24 @@ impl PageTable {
     }
 
     /// Batch tier move: every page of `range` not already on `to` moves in
-    /// one extent split/merge sweep. Per-shard (tier-delta, dirty-object)
-    /// results merge in shard order, so counters and aggregates end up
-    /// exactly as the equivalent per-page [`set_tier`](Self::set_tier)
-    /// loop would leave them.
+    /// one extent split/merge sweep. Each shard's (tier-delta,
+    /// dirty-object) result is applied in shard order, so counters and
+    /// aggregates end up exactly as the equivalent per-page
+    /// [`set_tier`](Self::set_tier) loop would leave them.
     pub fn set_tier_range(&mut self, range: Range<PageId>, to: Tier) {
         let Some((s0, s1)) = self.shard_span(&range) else {
             return;
         };
-        let jobs = self.span_jobs(s0, s1);
-        let per_shard: Vec<([u64; 2], BTreeSet<u32>)> = if jobs <= 1 {
-            (s0..=s1)
-                .map(|si| {
-                    let mut from_counts = [0u64; 2];
-                    let mut objs = BTreeSet::new();
-                    self.shards[si].apply(&range, &mut |p, len| {
-                        if p.tier != to {
-                            from_counts[tier_idx(p.tier)] += len;
-                            objs.insert(p.object.0);
-                            p.tier = to;
-                        }
-                    });
-                    (from_counts, objs)
-                })
-                .collect()
-        } else {
-            par_map_mut(&mut self.shards[s0..=s1], jobs, &|_, sh| {
-                let mut from_counts = [0u64; 2];
-                let mut objs = BTreeSet::new();
-                sh.apply(&range, &mut |p, len| {
-                    if p.tier != to {
-                        from_counts[tier_idx(p.tier)] += len;
-                        objs.insert(p.object.0);
-                        p.tier = to;
-                    }
-                });
-                (from_counts, objs)
-            })
-        };
-        for (from_counts, objs) in per_shard {
+        for si in s0..=s1 {
+            let mut from_counts = [0u64; 2];
+            let mut objs = BTreeSet::new();
+            self.shards[si].apply(&range, &mut |p, len| {
+                if p.tier != to {
+                    from_counts[tier_idx(p.tier)] += len;
+                    objs.insert(p.object.0);
+                    p.tier = to;
+                }
+            });
             let moved = from_counts[0] + from_counts[1];
             self.tier_pages[0] -= from_counts[0];
             self.tier_pages[1] -= from_counts[1];
@@ -1032,18 +858,17 @@ impl PageTable {
     /// Increment the migration counter of every page in `range`
     /// (batch-migration bookkeeping).
     pub fn bump_migrations_range(&mut self, range: Range<PageId>) {
-        self.apply_par(range, |p, _| p.migrations += 1);
+        self.apply(range, |p, _| p.migrations += 1);
     }
 
-    /// Scale every access counter by `factor` (aging sweep). O(runs),
-    /// parallel across shards on large tables.
+    /// Scale every access counter by `factor` (aging sweep). O(runs).
     pub fn age_access_counts(&mut self, factor: f64) {
-        self.apply_par(0..self.num_pages, |p, _| p.access_count *= factor);
+        self.apply(0..self.num_pages, |p, _| p.access_count *= factor);
     }
 
     /// Clear every accessed bit and counter (start-of-interval reset).
     pub fn reset_profiling_counters(&mut self) {
-        self.apply_par(0..self.num_pages, |p, _| {
+        self.apply(0..self.num_pages, |p, _| {
             p.accessed = false;
             p.access_count = 0.0;
         });
@@ -1054,9 +879,9 @@ impl PageTable {
     /// set when at least half an access is expected to land on the page
     /// this interval — a page touched once every hundred rounds does not
     /// have its PTE bit set every round on real hardware. Each run is
-    /// updated once (share depends only on weight), parallel across shards.
+    /// updated once (share depends only on weight).
     pub fn record_accesses(&mut self, range: Range<PageId>, accesses: f64) {
-        self.apply_par(range, |p, _| {
+        self.apply(range, |p, _| {
             let share = accesses * p.weight;
             if share > 0.0 {
                 p.access_count += share;
@@ -1073,23 +898,14 @@ impl PageTable {
     /// one specification defines every weighted sum in the engine — the
     /// aggregates, the fraction queries, and the [`RefTable`] oracle all
     /// produce bitwise-identical values, independent of run fragmentation
-    /// (streaks ignore object and run boundaries) and of the job count
-    /// (partials always fold in shard order).
+    /// (streaks ignore object and run boundaries).
     pub fn scan_weight_sums(&self, range: Range<PageId>) -> (f64, [f64; 2]) {
         let Some((s0, s1)) = self.shard_span(&range) else {
             return (0.0, [0.0; 2]);
         };
-        let jobs = self.span_jobs(s0, s1);
-        let partials: Vec<(f64, [f64; 2])> = if jobs <= 1 {
-            (s0..=s1)
-                .map(|si| self.shards[si].weight_sums(&range))
-                .collect()
-        } else {
-            par_map_ref(&self.shards[s0..=s1], jobs, &|_, sh| sh.weight_sums(&range))
-        };
         let mut total = 0.0;
         let mut in_ = [0.0; 2];
-        for (t, i2) in partials {
+        for (t, i2) in self.shards[s0..=s1].iter().map(|sh| sh.weight_sums(&range)) {
             total += t;
             in_[0] += i2[0];
             in_[1] += i2[1];
@@ -1690,7 +1506,7 @@ mod tests {
     }
 
     #[test]
-    fn runs_never_cross_shard_boundaries_and_sums_are_job_independent() {
+    fn runs_never_cross_shard_boundaries_and_sums_match_the_spec() {
         let n = SHARD_PAGES * 2 + 17;
         let mut pt = PageTable::default();
         pt.extend_uniform_for_object(ObjectId(0), Tier::Pm, n, 1.0 / n as f64);
@@ -1701,14 +1517,10 @@ mod tests {
         reference.extend_for_object(ObjectId(0), Tier::Pm, vec![1.0 / n as f64; n as usize]);
         reference.set_tier_range(SHARD_PAGES - 5..SHARD_PAGES + 5, Tier::Dram);
         let spec = reference.scan_weight_sums(0..n);
-        for jobs in [1, 2, 7] {
-            merch_sched::set_pool_jobs(jobs);
-            let got = pt.scan_weight_sums(0..n);
-            assert_eq!(got.0.to_bits(), spec.0.to_bits(), "jobs={jobs}");
-            assert_eq!(got.1[0].to_bits(), spec.1[0].to_bits(), "jobs={jobs}");
-            assert_eq!(got.1[1].to_bits(), spec.1[1].to_bits(), "jobs={jobs}");
-        }
-        merch_sched::set_pool_jobs(0);
+        let got = pt.scan_weight_sums(0..n);
+        assert_eq!(got.0.to_bits(), spec.0.to_bits());
+        assert_eq!(got.1[0].to_bits(), spec.1[0].to_bits());
+        assert_eq!(got.1[1].to_bits(), spec.1[1].to_bits());
         reference.assert_matches(&pt);
     }
 

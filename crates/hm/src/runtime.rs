@@ -824,32 +824,37 @@ fn execute_tasks<P: PlacementPolicy + Sync>(
         sys,
         policy: &policy_ref,
     };
-    let mut results: Vec<Option<TaskResult>> = (0..works.len()).map(|_| None).collect();
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4)
         .min(works.len().max(1));
     let chunk = works.len().div_ceil(threads.max(1));
-    crossbeam::thread::scope(|s| {
-        for (w_chunk, r_chunk) in works.chunks(chunk).zip(results.chunks_mut(chunk)) {
-            let view = &view;
-            s.spawn(move |_| {
-                for (w, slot) in w_chunk.iter().zip(r_chunk.iter_mut()) {
-                    let cost = task_cost(config, w, view, concurrency);
-                    *slot = Some(TaskResult {
-                        task: w.task,
-                        time_ns: cost.time_ns,
-                        cost,
-                    });
-                }
-            });
-        }
+    let view = &view;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = works
+            .chunks(chunk)
+            .map(|w_chunk| {
+                s.spawn(move || {
+                    w_chunk
+                        .iter()
+                        .map(|w| {
+                            let cost = task_cost(config, w, view, concurrency);
+                            TaskResult {
+                                task: w.task,
+                                time_ns: cost.time_ns,
+                                cost,
+                            }
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        // Join in chunk order; a worker panic re-raises with its payload.
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
     })
-    .expect("task execution threads must not panic");
-    results
-        .into_iter()
-        .map(|r| r.expect("all tasks executed"))
-        .collect()
 }
 
 #[cfg(test)]

@@ -1,35 +1,27 @@
-//! One work-stealing executor for every parallel phase in the workspace.
-//!
-//! Before this crate, three independent pools coexisted: the sweep driver
-//! (`merch_bench::par`) spawned scoped threads per sweep, the page engine
-//! (`merch_hm::page`) spawned scoped threads per shard phase, and the
-//! multi-tenant service ran tenant rounds on a serial loop. Nesting them
-//! oversubscribed the machine (N tenants × M shard workers) and none could
-//! donate idle cycles to another. This crate replaces all three with one
-//! process-global pool of persistent workers and *task classes* that encode
-//! nesting depth:
+//! One work-stealing executor for the workspace's parallel regions: the
+//! sweep driver (`merch_bench::par`) and the multi-tenant service's
+//! concurrent rounds share one process-global pool of persistent workers
+//! and *task classes* that encode nesting depth:
 //!
 //! * [`TaskClass::Sweep`] — one (app × policy × seed) sweep cell;
 //! * [`TaskClass::Tenant`] — one tenant's placement rounds inside the
 //!   service;
-//! * [`TaskClass::Shard`] — one chunk of a page-engine shard phase.
+//! * [`TaskClass::Shard`] — the innermost class, for fan-out inside one
+//!   round (the page engine itself is sequential).
 //!
 //! **Cooperative split budget.** A parallel region does not get dedicated
 //! threads; it splits its work into tasks, pushes them on the shared
 //! queues, and the *submitting thread participates*: [`scope`] executes
 //! queued tasks while waiting for its own batch. Workers and helpers pop
-//! deepest-class-first (shard chunks before new tenant rounds before new
-//! sweep cells), and a helper blocked on a batch of class `C` only executes
-//! tasks at least as deep as `C` — it never picks up a coarser task that
-//! would delay its own batch behind seconds of unrelated work. Total
-//! concurrency is bounded by `workers + blocked submitters` no matter how
-//! deeply regions nest, so N tenants each fanning out M shard chunks never
-//! oversubscribe the machine.
+//! deepest-class-first (tenant rounds before new sweep cells), and a
+//! helper blocked on a batch of class `C` only executes tasks at least as
+//! deep as `C` — it never picks up a coarser task that would delay its own
+//! batch behind seconds of unrelated work. Total concurrency is bounded by
+//! `workers + blocked submitters` no matter how deeply regions nest.
 //!
 //! **Determinism.** The pool adds none of its own: every caller writes
-//! results into pre-assigned slots (or folds partials in a fixed order), so
-//! outputs are byte-identical at any worker count — the property the
-//! engine's `--jobs`-independence tests assert.
+//! results into pre-assigned slots, so outputs are byte-identical at any
+//! worker count — the property the `--jobs`-independence tests assert.
 //!
 //! **Wakeup.** All waiting — idle workers, helpers out of eligible tasks,
 //! service consumers blocked on a result pipe — parks on one condvar and is
@@ -38,7 +30,7 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 
 /// Scheduling class of a task: its nesting depth in the
@@ -49,7 +41,7 @@ pub enum TaskClass {
     Sweep,
     /// One tenant's placement rounds inside the multi-tenant service.
     Tenant,
-    /// A chunk of shards in a page-engine phase (innermost).
+    /// Fan-out inside one round (innermost).
     Shard,
 }
 
@@ -71,28 +63,6 @@ impl TaskClass {
             TaskClass::Shard => "shard-phase",
         }
     }
-}
-
-/// How a scoped task batch ended. [`try_scope`] returns this instead of
-/// re-panicking, so a service-level supervisor can contain a dead job
-/// (quarantine the tenant, keep the pool alive) rather than unwinding the
-/// whole process. Precedence when several things went wrong in one batch:
-/// `Panicked` > `TimedOut` > `Ok`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum JobOutcome {
-    /// Every task of the batch ran to completion.
-    Ok,
-    /// At least one task panicked; `payload` is the first failure's
-    /// message, already formatted as
-    /// `"<class label> task panicked: <original message>"`.
-    Panicked {
-        /// Formatted first-panic message.
-        payload: String,
-    },
-    /// [`Scope::revoke_queued`] cancelled queued-but-unstarted tasks (the
-    /// supervisor gave up waiting); every task that had already started
-    /// still ran to completion, so borrows stayed sound.
-    TimedOut,
 }
 
 /// Best-effort extraction of a panic payload's message (`panic!` with a
@@ -117,21 +87,14 @@ pub fn set_pool_jobs(n: usize) {
     POOL_JOBS.store(n, Ordering::SeqCst);
 }
 
-/// The job count set by [`set_pool_jobs`], or `None` in auto mode.
-pub fn pool_jobs_override() -> Option<usize> {
-    match POOL_JOBS.load(Ordering::SeqCst) {
-        0 => None,
-        n => Some(n),
-    }
-}
-
 /// Effective pool job count (the knob, not the live worker count).
 pub fn pool_jobs() -> usize {
-    pool_jobs_override().unwrap_or_else(|| {
-        std::thread::available_parallelism()
+    match POOL_JOBS.load(Ordering::SeqCst) {
+        0 => std::thread::available_parallelism()
             .map(|n| n.get())
-            .unwrap_or(1)
-    })
+            .unwrap_or(1),
+        n => n,
+    }
 }
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -146,8 +109,6 @@ struct BatchState {
     remaining: AtomicUsize,
     /// First panic of the batch, already formatted with the class label.
     panic: Mutex<Option<String>>,
-    /// Set when [`Scope::revoke_queued`] cancelled pending tasks.
-    revoked: AtomicBool,
 }
 
 struct PoolState {
@@ -155,8 +116,6 @@ struct PoolState {
     queues: [VecDeque<Task>; 3],
     /// Worker threads ever spawned (grow-only).
     workers: usize,
-    /// Workers currently parked on the condvar.
-    idle: usize,
 }
 
 struct Pool {
@@ -170,7 +129,6 @@ fn pool() -> &'static Pool {
         state: Mutex::new(PoolState {
             queues: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
             workers: 0,
-            idle: 0,
         }),
         cond: Condvar::new(),
     })
@@ -221,12 +179,6 @@ pub fn ensure_workers(n: usize) {
     }
 }
 
-/// Workers currently parked (a split-budget hint for auto-mode callers;
-/// results never depend on it).
-pub fn idle_workers() -> usize {
-    lock_state(pool()).idle
-}
-
 /// Wake every parked worker and helper. Call after changing external state
 /// a [`help_until`] predicate reads (e.g. pushing into a result pipe).
 pub fn notify() {
@@ -244,9 +196,7 @@ fn worker_loop() {
                 if let Some(t) = st.pop(0) {
                     break t;
                 }
-                st.idle += 1;
                 st = p.cond.wait(st).unwrap_or_else(|e| e.into_inner());
-                st.idle -= 1;
             }
         };
         run_task(task);
@@ -334,28 +284,6 @@ impl<'s> Scope<'s> {
             p.cond.notify_one();
         }
     }
-
-    /// Cancel every task of this scope that is still queued (not yet
-    /// started). Tasks already running are untouched — the scope still
-    /// waits for them, so borrows stay sound — but the batch's outcome
-    /// becomes [`JobOutcome::TimedOut`] (unless a task also panicked,
-    /// which takes precedence). Used by the service supervisor to drain a
-    /// misbehaving tenant without tearing the pool down.
-    pub fn revoke_queued(&self) {
-        let p = pool();
-        let mut st = lock_state(p);
-        let q = &mut st.queues[self.class.depth()];
-        let before = q.len();
-        q.retain(|t| !Arc::ptr_eq(&t.batch, &self.batch));
-        let removed = before - q.len();
-        drop(st);
-        if removed > 0 {
-            self.batch.revoked.store(true, Ordering::SeqCst);
-            if self.batch.remaining.fetch_sub(removed, Ordering::SeqCst) == removed {
-                notify();
-            }
-        }
-    }
 }
 
 /// Waits for `batch.remaining == 0`, helping with tasks at least as deep
@@ -378,46 +306,6 @@ impl Drop for ScopeGuard<'_> {
     }
 }
 
-/// Fault-containing variant of [`scope`]: identical semantics — the body
-/// and every spawned task finish (or are revoked) before it returns — but
-/// a task panic is *reported*, not re-propagated. Returns the body's value
-/// alongside the batch's [`JobOutcome`], leaving the pool and its queues
-/// healthy: the dead task's slot was decremented like any other, no lock
-/// stays poisoned, and co-resident batches never observe the failure.
-///
-/// A panic in `body` itself still propagates unchanged — after every
-/// already-spawned task has finished (the containment boundary is the
-/// *task*, not the scope owner).
-pub fn try_scope<'s, R>(class: TaskClass, body: impl FnOnce(&Scope<'s>) -> R) -> (R, JobOutcome) {
-    let batch = Arc::new(BatchState {
-        remaining: AtomicUsize::new(0),
-        panic: Mutex::new(None),
-        revoked: AtomicBool::new(false),
-    });
-    let result = {
-        let guard = ScopeGuard {
-            class,
-            batch: &batch,
-        };
-        let scope = Scope {
-            class,
-            batch: Arc::clone(&batch),
-            _marker: std::marker::PhantomData,
-        };
-        let r = body(&scope);
-        std::mem::forget(guard); // normal path: wait without double-waiting
-        wait_batch(class, &batch);
-        r
-    };
-    let failed = batch.panic.lock().unwrap_or_else(|e| e.into_inner()).take();
-    let outcome = match failed {
-        Some(payload) => JobOutcome::Panicked { payload },
-        None if batch.revoked.load(Ordering::SeqCst) => JobOutcome::TimedOut,
-        None => JobOutcome::Ok,
-    };
-    (result, outcome)
-}
-
 /// Open a task scope of the given class: `body` receives a [`Scope`] to
 /// spawn borrowing tasks on, and `scope` returns only after the body *and
 /// every spawned task* completed. The calling thread helps execute pending
@@ -429,15 +317,28 @@ pub fn try_scope<'s, R>(class: TaskClass, body: impl FnOnce(&Scope<'s>) -> R) ->
 /// If a spawned task panicked, re-panics with
 /// `"<class label> task panicked: <original message>"` (first failing task
 /// wins). A panic in `body` itself propagates unchanged — after every
-/// already-spawned task has finished. Callers that must survive a dead
-/// task use [`try_scope`] instead.
+/// already-spawned task has finished.
 pub fn scope<'s, R>(class: TaskClass, body: impl FnOnce(&Scope<'s>) -> R) -> R {
-    match try_scope(class, body) {
-        (_, JobOutcome::Panicked { payload }) => panic!("{payload}"),
-        // TimedOut only arises when the body itself called `revoke_queued`
-        // — a deliberate cancellation, not a fault — so the value stands.
-        (r, _) => r,
+    let batch = Arc::new(BatchState {
+        remaining: AtomicUsize::new(0),
+        panic: Mutex::new(None),
+    });
+    let guard = ScopeGuard {
+        class,
+        batch: &batch,
+    };
+    let scope = Scope {
+        class,
+        batch: Arc::clone(&batch),
+        _marker: std::marker::PhantomData,
+    };
+    let r = body(&scope);
+    std::mem::forget(guard); // normal path: wait without double-waiting
+    wait_batch(class, &batch);
+    if let Some(payload) = batch.panic.lock().unwrap_or_else(|e| e.into_inner()).take() {
+        panic!("{payload}");
     }
+    r
 }
 
 #[cfg(test)]
@@ -503,81 +404,6 @@ mod tests {
         let msg = payload_msg(r.expect_err("task panic must propagate").as_ref());
         assert!(msg.contains("shard-phase task panicked"), "{msg}");
         assert!(msg.contains("inner boom"), "{msg}");
-    }
-
-    #[test]
-    fn try_scope_contains_the_panic_and_keeps_the_pool_healthy() {
-        ensure_workers(2);
-        let mut ok = [false; 8];
-        let ((), outcome) = try_scope(TaskClass::Tenant, |s| {
-            s.spawn(|| panic!("contained boom"));
-            for slot in ok.iter_mut() {
-                s.spawn(move || *slot = true);
-            }
-        });
-        match outcome {
-            JobOutcome::Panicked { payload } => {
-                assert!(payload.contains("tenant-round task panicked"), "{payload}");
-                assert!(payload.contains("contained boom"), "{payload}");
-            }
-            other => panic!("expected Panicked, got {other:?}"),
-        }
-        // Surviving tasks of the same batch all ran; a fresh scope on the
-        // same pool still works (no poisoned slots, no stuck deques).
-        assert!(ok.iter().all(|&b| b));
-        let mut after = [0u64; 4];
-        scope(TaskClass::Shard, |s| {
-            for (i, slot) in after.iter_mut().enumerate() {
-                s.spawn(move || *slot = i as u64 + 1);
-            }
-        });
-        assert_eq!(after, [1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn revoke_queued_times_out_without_running_revoked_tasks() {
-        // No helping happens between spawn and revoke (the submitting
-        // thread only helps once it waits), so with the tasks targeted at
-        // a depth no idle worker is guaranteed to drain instantly, at
-        // least the still-queued ones are cancelled. Run with enough
-        // tasks that some are certainly still queued at revoke time.
-        let hits = AtomicU64::new(0);
-        let ((), outcome) = try_scope(TaskClass::Sweep, |s| {
-            for _ in 0..64 {
-                let hits = &hits;
-                s.spawn(move || {
-                    hits.fetch_add(1, Ordering::SeqCst);
-                });
-            }
-            s.revoke_queued();
-        });
-        // Workers from other tests may have started a few tasks already;
-        // revocation cancels the rest and reports TimedOut.
-        if outcome == JobOutcome::TimedOut {
-            assert!(hits.load(Ordering::SeqCst) < 64);
-        } else {
-            assert_eq!(outcome, JobOutcome::Ok);
-            assert_eq!(hits.load(Ordering::SeqCst), 64);
-        }
-    }
-
-    #[test]
-    fn panic_beats_timeout_in_outcome_precedence() {
-        ensure_workers(1);
-        let ((), outcome) = try_scope(TaskClass::Shard, |s| {
-            s.spawn(|| panic!("first loss"));
-            // Wait until the panicking task has been consumed, then queue
-            // more and revoke them: the batch both panicked and timed out.
-            wait_batch(TaskClass::Shard, &s.batch);
-            for _ in 0..16 {
-                s.spawn(|| {});
-            }
-            s.revoke_queued();
-        });
-        assert!(
-            matches!(outcome, JobOutcome::Panicked { .. }),
-            "expected Panicked, got {outcome:?}"
-        );
     }
 
     #[test]

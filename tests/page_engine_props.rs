@@ -6,12 +6,13 @@
 //! documented streak-spec scan — both before a flush (dirty aggregates
 //! fall back to the scan) and after one (the fast path actually fires).
 //!
-//! Two further disciplines guard the extent representation itself:
-//! the engine must stay bitwise-equal to the retained per-page
-//! [`RefTable`] model under random split/merge/poison interleavings, and
-//! every weighted sum must come out bit-identical whatever `--jobs` value
-//! the sharded phases run under (per-shard partials folded in shard
-//! order are the only accumulation order that exists).
+//! Two further disciplines guard the extent representation itself: the
+//! engine must stay bitwise-equal to the retained per-page [`RefTable`]
+//! model under random split/merge/poison interleavings, and it must stay
+//! so on a table spanning several shards, where runs break at every shard
+//! boundary and weighted sums fold per-shard partials in shard order.
+
+use std::ops::Range;
 
 use proptest::prelude::*;
 
@@ -329,13 +330,20 @@ fn arb_top() -> impl Strategy<Value = TOp> {
     ]
 }
 
-/// Apply one [`TOp`] to both the extent engine and the per-page model.
-fn apply_top(pt: &mut PageTable, rt: &mut RefTable, op: &TOp, n_objs: &mut u32) {
+/// Maps an op's u16 anchor and length onto a table of `len` pages.
+type Span<'a> = &'a dyn Fn(u64, u16, u16) -> Range<u64>;
+
+/// [`Span`] that wraps the anchor into the table and clips the range.
+fn clip(len: u64, lo: u16, n: u16) -> Range<u64> {
+    let lo = lo as u64 % len;
+    lo..(lo + n as u64).min(len)
+}
+
+/// Apply one [`TOp`] to both the extent engine and the per-page model,
+/// placing its range (or page) with `span`.
+fn apply_top(pt: &mut PageTable, rt: &mut RefTable, op: &TOp, n_objs: &mut u32, span: Span) {
     let len = pt.len() as u64;
-    let clip = |lo: u16, n: u16| {
-        let lo = lo as u64 % len;
-        lo..(lo + n as u64).min(len)
-    };
+    let clip = |lo: u16, n: u16| span(len, lo, n);
     match *op {
         TOp::Extend {
             pages,
@@ -363,8 +371,8 @@ fn apply_top(pt: &mut PageTable, rt: &mut RefTable, op: &TOp, n_objs: &mut u32) 
         }
         TOp::SetWeight { idx, wmilli } if len > 0 => {
             let w = wmilli as f64 / 1000.0;
-            pt.set_weight(idx as u64 % len, w);
-            rt.set_weight(idx as u64 % len, w);
+            pt.set_weight(clip(idx, 1).start, w);
+            rt.set_weight(clip(idx, 1).start, w);
         }
         TOp::Record {
             lo,
@@ -388,8 +396,8 @@ fn apply_top(pt: &mut PageTable, rt: &mut RefTable, op: &TOp, n_objs: &mut u32) 
             rt.bump_migrations_range(clip(lo, n));
         }
         TOp::Poison { idx } if len > 0 => {
-            pt.quarantine_page(idx as u64 % len);
-            rt.quarantine_page(idx as u64 % len);
+            pt.quarantine_page(clip(idx, 1).start);
+            rt.quarantine_page(clip(idx, 1).start);
         }
         _ => {} // range op against an empty table: nothing to do
     }
@@ -408,7 +416,7 @@ proptest! {
         let mut rt = RefTable::default();
         let mut n_objs = 0u32;
         for (step, op) in ops.iter().enumerate() {
-            apply_top(&mut pt, &mut rt, op, &mut n_objs);
+            apply_top(&mut pt, &mut rt, op, &mut n_objs, &clip);
             rt.assert_matches(&pt);
             let len = pt.len() as u64;
             if len > 0 {
@@ -425,63 +433,49 @@ proptest! {
         // The structural invariants hold at the end of every interleaving.
         pt.debug_verify();
     }
+}
 
-    /// Shard-merge determinism: the same operation sequence on a
-    /// multi-shard table produces byte-identical state and bit-identical
-    /// weighted sums whatever `--jobs` value the engine runs under.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1))]
+
+    /// Shard boundaries: the same operation sequence stretched over a
+    /// multi-shard table leaves the extent engine bitwise-equal to the
+    /// per-page model, with streak-spec weighted sums (per-shard partials
+    /// folded in shard order) bit-identical over the full range and a
+    /// partial one that starts and ends mid-shard.
     #[test]
-    fn weighted_sums_independent_of_job_count(
-        ops in proptest::collection::vec(arb_top(), 1..16),
+    fn multi_shard_table_matches_per_page_model(
+        ops in proptest::collection::vec(arb_top(), 8..24),
         probe in any::<u32>(),
     ) {
-        // Big enough that the parallel path actually engages (at least
-        // PAR_MIN_SHARDS shards), cheap because uniform runs coalesce.
-        const N: u64 = SHARD_PAGES * 9 + 123;
-        // Stretch each op's u16-sized anchor and length over the full
-        // multi-shard span so splits land in every shard, deterministically
-        // from the proptest inputs.
-        let span = |lo: u16, n: u16| {
-            let lo = (lo as u64 * 48_271 + probe as u64) % N;
-            lo..(lo + n as u64 * 701).min(N)
+        // Two full shards plus a partial third.
+        const N: u64 = SHARD_PAGES * 2 + 123;
+        // Stretch each op's u16-sized anchor and length (up to 89, so up
+        // to the whole table) over the multi-shard span so splits land in
+        // every shard and most ranges cross a shard boundary,
+        // deterministically from the proptest inputs.
+        let stretch = |len: u64, lo: u16, n: u16| {
+            let lo = (lo as u64 * 48_271 + probe as u64) % len;
+            lo..(lo + n as u64 * 1_459).min(len)
         };
-        let mut outputs: Vec<(String, u64, u64, u64)> = Vec::new();
-        for jobs in [1usize, 3, 8] {
-            merch_sched::set_pool_jobs(jobs);
-            let mut pt = PageTable::default();
-            pt.extend_uniform_for_object(ObjectId(0), Tier::Pm, N, 1.0 / N as f64);
-            for op in &ops {
-                match *op {
-                    TOp::SetTierRange { lo, n, dram } => {
-                        let to = if dram { Tier::Dram } else { Tier::Pm };
-                        pt.set_tier_range(span(lo, n), to);
-                    }
-                    TOp::Record { lo, n, accesses_deci } => {
-                        pt.record_accesses(span(lo, n), accesses_deci as f64 / 10.0);
-                    }
-                    TOp::Bump { lo, n } => pt.bump_migrations_range(span(lo, n)),
-                    TOp::SetWeight { idx, wmilli } => {
-                        pt.set_weight(span(idx, 1).start, wmilli as f64 / 1000.0);
-                    }
-                    TOp::Poison { idx } => {
-                        pt.quarantine_page(span(idx, 1).start);
-                    }
-                    TOp::Age => pt.age_access_counts(0.5),
-                    TOp::Reset => pt.reset_profiling_counters(),
-                    // Keep the table at exactly N pages across job counts.
-                    TOp::Extend { .. } => {}
-                }
-            }
-            let (total, by_tier) = pt.scan_weight_sums(0..pt.len() as u64);
-            outputs.push((
-                format!("{pt:?}"),
-                total.to_bits(),
-                by_tier[0].to_bits(),
-                by_tier[1].to_bits(),
-            ));
+        let mut pt = PageTable::default();
+        let mut rt = RefTable::default();
+        pt.extend_uniform_for_object(ObjectId(0), Tier::Pm, N, 1.0 / N as f64);
+        rt.extend_for_object(ObjectId(0), Tier::Pm, std::iter::repeat_n(1.0 / N as f64, N as usize));
+        let mut n_objs = 1;
+        // Extends are skipped to keep the table at exactly N pages.
+        for op in ops.iter().filter(|op| !matches!(op, TOp::Extend { .. })) {
+            apply_top(&mut pt, &mut rt, op, &mut n_objs, &stretch);
         }
-        merch_sched::set_pool_jobs(0); // back to auto for the rest of the binary
-        prop_assert_eq!(&outputs[0], &outputs[1], "jobs=1 vs jobs=3");
-        prop_assert_eq!(&outputs[0], &outputs[2], "jobs=1 vs jobs=8");
+        rt.assert_matches(&pt);
+        for range in [0..N, SHARD_PAGES / 2..N - 50] {
+            let (gt, gin) = pt.scan_weight_sums(range.clone());
+            let (wt, win) = rt.scan_weight_sums(range.clone());
+            prop_assert_eq!(gt.to_bits(), wt.to_bits(), "total over {:?}", range);
+            prop_assert_eq!(gin[0].to_bits(), win[0].to_bits(), "dram over {:?}", range);
+            prop_assert_eq!(gin[1].to_bits(), win[1].to_bits(), "pm over {:?}", range);
+        }
+        pt.debug_verify();
     }
 }
 
