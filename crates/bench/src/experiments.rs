@@ -59,12 +59,6 @@ impl AppKind {
         }
     }
 
-    /// Regular (strided/stencil) vs irregular (random-heavy) — the split
-    /// Figure 7 and the §7.1 discussion use.
-    pub fn is_regular(&self) -> bool {
-        matches!(self, AppKind::Warpx | AppKind::Dmrg)
-    }
-
     /// Build the default scaled instance.
     pub fn build(&self, seed: u64) -> Box<dyn HpcApp> {
         match self {
@@ -627,7 +621,7 @@ pub struct Fig7 {
 pub fn fig7(artifacts: &TrainingArtifacts, seed: u64) -> Fig7 {
     let cfg = merch_hm::HmConfig::default();
     // Fresh evaluation pools, disjoint from training by seed.
-    let eval = generate_code_samples(120, seed ^ xF1G7_u64_stub());
+    let eval = generate_code_samples(120, seed ^ 0xF167);
     let regular: Vec<_> = eval.iter().filter(|s| !s.irregular).cloned().collect();
     let irregular: Vec<_> = eval.iter().filter(|s| s.irregular).cloned().collect();
     let d_reg = build_training_dataset(&cfg, &regular, 10, seed ^ 0x11);
@@ -665,12 +659,6 @@ pub fn fig7(artifacts: &TrainingArtifacts, seed: u64) -> Fig7 {
         regular_all: eval_all(&d_reg),
         irregular_all: eval_all(&d_irr),
     }
-}
-
-// Seed helper (avoids an invalid hex literal in the xor above).
-#[allow(non_snake_case)]
-fn xF1G7_u64_stub() -> u64 {
-    0xF167
 }
 
 // ---------------------------------------------------------------------------

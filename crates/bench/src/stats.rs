@@ -1,10 +1,8 @@
 //! Box-plot statistics for Figure 5.
 
-use serde::{Deserialize, Serialize};
-
 /// Quartile summary of a sample (the boxplot Figure 5 draws: interquartile
 /// box, median line, whiskers, outliers).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BoxStats {
     /// 25th percentile.
     pub q1: f64,

@@ -208,17 +208,20 @@ impl MerchandiserPolicy {
 
     /// The compiled Equation 2 model, recompiling when the interpreted
     /// model changed underneath it (the fingerprint covers every bit a
-    /// prediction depends on).
-    fn ensure_compiled(&mut self) -> &CompiledPerformanceModel {
-        let want = Eq2Model::fingerprint(&self.model);
-        if self
-            .compiled
+    /// prediction depends on). Takes the two fields rather than `&mut self`
+    /// so callers keep borrowing the policy's other fields meanwhile.
+    fn ensure_compiled<'a>(
+        model: &PerformanceModel,
+        compiled: &'a mut Option<CompiledPerformanceModel>,
+    ) -> &'a CompiledPerformanceModel {
+        let want = Eq2Model::fingerprint(model);
+        if compiled
             .as_ref()
-            .is_none_or(|c| Eq2Model::fingerprint(c) != want)
+            .is_some_and(|c| Eq2Model::fingerprint(c) != want)
         {
-            self.compiled = Some(self.model.compile());
+            *compiled = None;
         }
-        self.compiled.as_ref().expect("just compiled")
+        compiled.get_or_insert_with(|| model.compile())
     }
 
     /// Fingerprint of the compiled f(·) currently backing the planner, or
@@ -476,21 +479,17 @@ impl MerchandiserPolicy {
                 bytes,
             });
         }
-        self.ensure_compiled();
-        // The cache is taken out for the call so the allocator can borrow
-        // both it (mutably) and the compiled model (immutably) at once.
-        let mut cache = std::mem::take(&mut self.curve_cache);
+        let model = Self::ensure_compiled(&self.model, &mut self.compiled);
         let input = AllocatorInput {
             tasks,
             // Physical capacity, not nameplate: quarantined frames and
             // offlined regions are gone, so the plan must not budget them.
             dram_capacity: ((sys.physical_dram_capacity() as f64) * (1.0 - self.dram_reserve))
                 as u64,
-            model: self.compiled.as_ref().expect("ensure_compiled filled it"),
+            model,
             step: self.step,
         };
-        let plan = plan_dram_accesses_cached(&input, &mut cache);
-        self.curve_cache = cache;
+        let plan = plan_dram_accesses_cached(&input, &mut self.curve_cache);
         (plan, input.tasks)
     }
 
@@ -1315,7 +1314,7 @@ impl PlacementPolicy for MerchandiserPolicy {
             pm_only_ns *= pm_s;
             dram_only_ns *= dram_s;
         }
-        self.ensure_compiled();
+        let model = Self::ensure_compiled(&self.model, &mut self.compiled);
         let ts = &self.state[task];
         let (mut bytes, mut resident) = (0u64, 0u64);
         for (oid, _) in &ts.objects {
@@ -1339,7 +1338,7 @@ impl PlacementPolicy for MerchandiserPolicy {
                 bytes,
             }],
             dram_capacity: resident + sys.free_bytes(Tier::Dram),
-            model: self.compiled.as_ref().expect("ensure_compiled filled it"),
+            model,
             step: self.step,
         };
         // A throwaway cache: the miss-scaled single-task input would only

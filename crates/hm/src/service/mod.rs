@@ -271,12 +271,6 @@ impl ServiceConfig {
         }
     }
 
-    /// Set the circuit-breaker tuning.
-    pub fn with_breaker(mut self, breaker: BreakerConfig) -> Self {
-        self.breaker = breaker;
-        self
-    }
-
     /// Treat rounds slower than `ns` as stall strikes.
     pub fn with_stall_threshold_ns(mut self, ns: f64) -> Self {
         self.breaker.stall_threshold_ns = ns;
@@ -292,12 +286,6 @@ impl ServiceConfig {
     /// Set the submission-queue bound.
     pub fn with_max_queue(mut self, max_queue: usize) -> Self {
         self.max_queue = max_queue;
-        self
-    }
-
-    /// Set the DRR quantum.
-    pub fn with_quantum_ns(mut self, quantum_ns: f64) -> Self {
-        self.quantum_ns = quantum_ns;
         self
     }
 

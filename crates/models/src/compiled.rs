@@ -171,11 +171,6 @@ impl CompiledEnsemble {
         self.num_features
     }
 
-    /// Total flattened nodes across all stages.
-    pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Boosting stages compiled in.
     pub fn num_stages(&self) -> usize {
         self.roots.len()
@@ -204,12 +199,6 @@ impl CompiledEnsemble {
             }
         }
         self.base_prediction + self.learning_rate * sum
-    }
-
-    /// Predict many rows (the table-fill path of the planner's r-grid time
-    /// curves).
-    pub fn predict_batch(&self, rows: &[Vec<f64>]) -> Vec<f64> {
-        rows.iter().map(|r| self.predict_one(r)).collect()
     }
 }
 
@@ -240,16 +229,6 @@ mod tests {
         let c = CompiledEnsemble::compile(&g);
         for row in &x {
             assert_eq!(c.predict_one(row).to_bits(), g.predict_one(row).to_bits());
-        }
-    }
-
-    #[test]
-    fn batch_matches_scalar() {
-        let (g, x) = trained(40, 2);
-        let c = CompiledEnsemble::compile(&g);
-        let batch = c.predict_batch(&x);
-        for (row, b) in x.iter().zip(&batch) {
-            assert_eq!(b.to_bits(), c.predict_one(row).to_bits());
         }
     }
 

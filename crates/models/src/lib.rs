@@ -14,37 +14,32 @@
 //! | GBR (Gradient Boosted Regressor) | [`gbr::GradientBoostedRegressor`] |
 //! | ANN (MLP Regressor) | [`mlp::MlpRegressor`] |
 //!
-//! plus the supporting machinery: datasets and splits ([`data`]), metrics
-//! ([`metrics`]), and Gini-importance-driven recursive feature elimination
-//! ([`select`]) used to pick the 8 workload-characteristic events (§5.1).
+//! plus the supporting machinery: datasets and splits ([`data`]), the
+//! Table 3/Table 4 metrics ([`metrics`]), the flattened inference form of
+//! a trained GBR ([`compiled`]) and its persistence ([`persist`]). The
+//! 8 workload-characteristic events of §5.1 are the top of the all-events
+//! GBR's Gini importance ranking
+//! ([`GradientBoostedRegressor::feature_importances`]).
 
 pub mod compiled;
-pub mod cv;
 pub mod data;
-pub mod extra;
 pub mod forest;
 pub mod gbr;
 pub mod knn;
-pub mod linear;
 pub mod metrics;
 pub mod mlp;
 pub mod persist;
-pub mod select;
 pub mod svr;
 pub mod tree;
 
 pub use compiled::CompiledEnsemble;
-pub use cv::{cross_validate, cv_mean, permutation_importance};
 pub use data::{train_test_split, Dataset};
-pub use extra::ExtraTreesRegressor;
 pub use forest::RandomForestRegressor;
 pub use gbr::GradientBoostedRegressor;
 pub use knn::KNeighborsRegressor;
-pub use linear::LinearRegressor;
-pub use metrics::{mae, mse, r2_score};
+pub use metrics::r2_score;
 pub use mlp::MlpRegressor;
 pub use persist::Portable;
-pub use select::{gini_importance, recursive_feature_elimination};
 pub use svr::KernelRidgeRegressor;
 pub use tree::DecisionTreeRegressor;
 

@@ -25,28 +25,6 @@ pub fn r2_score(y_true: &[f64], y_pred: &[f64]) -> f64 {
     }
 }
 
-/// Mean absolute error.
-pub fn mae(y_true: &[f64], y_pred: &[f64]) -> f64 {
-    assert_eq!(y_true.len(), y_pred.len());
-    y_true
-        .iter()
-        .zip(y_pred)
-        .map(|(t, p)| (t - p).abs())
-        .sum::<f64>()
-        / y_true.len() as f64
-}
-
-/// Mean squared error.
-pub fn mse(y_true: &[f64], y_pred: &[f64]) -> f64 {
-    assert_eq!(y_true.len(), y_pred.len());
-    y_true
-        .iter()
-        .zip(y_pred)
-        .map(|(t, p)| (t - p).powi(2))
-        .sum::<f64>()
-        / y_true.len() as f64
-}
-
 /// Mean prediction accuracy `1 − |pred − true| / true` clamped at 0 — the
 /// "accuracy" the paper reports for the whole performance model (Table 4).
 pub fn mean_relative_accuracy(y_true: &[f64], y_pred: &[f64]) -> f64 {
@@ -74,8 +52,6 @@ mod tests {
     fn perfect_prediction() {
         let y = [1.0, 2.0, 3.0];
         assert_eq!(r2_score(&y, &y), 1.0);
-        assert_eq!(mae(&y, &y), 0.0);
-        assert_eq!(mse(&y, &y), 0.0);
         assert_eq!(mean_relative_accuracy(&y, &y), 1.0);
     }
 

@@ -190,18 +190,6 @@ impl AlphaTable {
         }
     }
 
-    /// Precompute the stencil α grid for common point counts and data types.
-    pub fn precomputed() -> Self {
-        let mut t = Self::new();
-        for points in [3u32, 5, 7, 9] {
-            for eb in [4u32, 8] {
-                let a = stencil_alpha_microbench(points, eb, 1 << 16);
-                t.stencil.push((points, eb, a));
-            }
-        }
-        t
-    }
-
     /// Offline α for `pattern`, or `None` when the pattern requires online
     /// refinement (random / input-dependent stencil).
     ///
