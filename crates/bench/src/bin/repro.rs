@@ -168,17 +168,26 @@ fn main() {
         .any(|w| matches!(w.as_str(), "table3" | "fig7"));
     let artifacts = needs_model.then(|| {
         if !needs_artifacts {
-            if let Some(path) = &model_cache {
-                if let Ok(model) = merchandiser::PerformanceModel::load(path) {
-                    eprintln!("[offline] loaded cached model from {}", path.display());
-                    return exp::artifacts_from_model(model);
+            // A file that does not exist yet is trained and written below.
+            if let Some(path) = model_cache.as_ref().filter(|p| p.exists()) {
+                let loaded = std::fs::read_to_string(path)
+                    .map_err(|e| e.to_string())
+                    .and_then(|text| {
+                        merchandiser::PerformanceModel::decode(&text).map_err(|e| e.to_string())
+                    });
+                match loaded {
+                    Ok(model) => {
+                        eprintln!("[offline] loaded cached model from {}", path.display());
+                        return exp::artifacts_from_model(model);
+                    }
+                    Err(e) => eprintln!("[offline] ignoring {}: {e}", path.display()),
                 }
             }
         }
         eprintln!("[offline] training correlation function (quick={quick}) ...");
         let art = exp::offline(quick, seed);
         if let Some(path) = &model_cache {
-            match art.model.save(path) {
+            match std::fs::write(path, art.model.encode()) {
                 Ok(()) => eprintln!("[offline] cached model to {}", path.display()),
                 Err(e) => eprintln!("[offline] could not cache model: {e}"),
             }

@@ -746,49 +746,6 @@ pub fn overhead_report(model: &PerformanceModel, seed: u64) -> Vec<(String, f64,
     })
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn table1_matches_paper() {
-        let t = table1(3);
-        let get = |name: &str| {
-            t.iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, l)| l.clone())
-                .unwrap()
-        };
-        assert_eq!(get("SpGEMM"), vec!["stream", "random"]);
-        assert_eq!(get("WarpX"), vec!["strided", "stencil"]);
-        assert_eq!(get("BFS"), vec!["stream", "random"]);
-        assert_eq!(get("DMRG"), vec!["stream", "strided"]);
-        assert_eq!(get("NWChem-TC"), vec!["stream", "random"]);
-    }
-
-    #[test]
-    fn fig3_shape() {
-        let rows = fig3(3);
-        assert_eq!(rows.len(), 6); // 5 phases + entire task
-        for r in &rows {
-            assert!((r.normalized[0] - 1.0).abs() < 1e-9);
-            // More DRAM accesses never hurt.
-            assert!(r.normalized[1] <= 1.0 + 1e-9, "{:?}", r);
-            assert!(r.normalized[2] <= r.normalized[1] + 1e-9, "{:?}", r);
-        }
-        // Writeback (write-heavy) gains more from DRAM than input
-        // processing (prefetch-friendly streams) — the Figure 3 argument.
-        let wb = rows.iter().find(|r| r.phase == "writeback").unwrap();
-        let ip = rows.iter().find(|r| r.phase == "input_processing").unwrap();
-        assert!(
-            wb.normalized[1] < ip.normalized[1],
-            "writeback {:?} vs input {:?}",
-            wb.normalized,
-            ip.normalized
-        );
-    }
-}
-
 // ---------------------------------------------------------------------------
 // §1 motivation — the two observations that open the paper.
 // ---------------------------------------------------------------------------
@@ -1061,4 +1018,47 @@ pub fn ablation(default_app: AppKind, model: &PerformanceModel, seed: u64) -> Ve
         );
     }
     rows
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn table1_matches_paper() {
+        let t = table1(3);
+        let get = |name: &str| {
+            t.iter()
+                .find(|(n, _)| n == name)
+                .map(|(_, l)| l.clone())
+                .unwrap()
+        };
+        assert_eq!(get("SpGEMM"), vec!["stream", "random"]);
+        assert_eq!(get("WarpX"), vec!["strided", "stencil"]);
+        assert_eq!(get("BFS"), vec!["stream", "random"]);
+        assert_eq!(get("DMRG"), vec!["stream", "strided"]);
+        assert_eq!(get("NWChem-TC"), vec!["stream", "random"]);
+    }
+
+    #[test]
+    fn fig3_shape() {
+        let rows = fig3(3);
+        assert_eq!(rows.len(), 6); // 5 phases + entire task
+        for r in &rows {
+            assert!((r.normalized[0] - 1.0).abs() < 1e-9);
+            // More DRAM accesses never hurt.
+            assert!(r.normalized[1] <= 1.0 + 1e-9, "{:?}", r);
+            assert!(r.normalized[2] <= r.normalized[1] + 1e-9, "{:?}", r);
+        }
+        // Writeback (write-heavy) gains more from DRAM than input
+        // processing (prefetch-friendly streams) — the Figure 3 argument.
+        let wb = rows.iter().find(|r| r.phase == "writeback").unwrap();
+        let ip = rows.iter().find(|r| r.phase == "input_processing").unwrap();
+        assert!(
+            wb.normalized[1] < ip.normalized[1],
+            "writeback {:?} vs input {:?}",
+            wb.normalized,
+            ip.normalized
+        );
+    }
 }

@@ -58,26 +58,8 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    let jobs = merch_sched::pool_jobs().min(items.len());
-    if jobs <= 1 {
-        let mut done: Vec<Option<R>> = Vec::with_capacity(items.len());
-        for (i, item) in items.into_iter().enumerate() {
-            match catch_unwind(AssertUnwindSafe(|| f(item))) {
-                Ok(r) => done.push(Some(r)),
-                Err(p) => {
-                    let abort = SweepAbort {
-                        cell: i,
-                        message: merch_sched::payload_msg(p.as_ref()),
-                    };
-                    return Err((done, abort));
-                }
-            }
-        }
-        return Ok(done
-            .into_iter()
-            .map(|r| r.expect("no cell failed"))
-            .collect());
-    }
+    // At least one puller (the submitting thread), even for no items.
+    let jobs = merch_sched::pool_jobs().min(items.len()).max(1);
     let work: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
     let slots: Vec<Mutex<Option<R>>> = (0..work.len()).map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
@@ -134,7 +116,8 @@ where
 ///
 /// Workers pull cells from a shared cursor, so a straggler cell (a slow
 /// application run) never idles the rest of the pool. With one worker (or
-/// one item) this degenerates to a plain in-place map.
+/// one item) the submitting thread runs every cell in order and no helper
+/// is spawned.
 ///
 /// # Panics
 ///
@@ -223,7 +206,19 @@ mod tests {
         assert_eq!(abort.cell, 5);
         assert_eq!(abort.message, "boom 5");
         // Sequential dispatch: exactly the cells before the failure completed.
-        assert_eq!(done, vec![Some(0), Some(10), Some(20), Some(30), Some(40)]);
+        assert_eq!(
+            done,
+            vec![
+                Some(0),
+                Some(10),
+                Some(20),
+                Some(30),
+                Some(40),
+                None,
+                None,
+                None
+            ]
+        );
         assert_eq!(abort.to_string(), "sweep cell 5 panicked: boom 5");
     }
 

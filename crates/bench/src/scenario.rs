@@ -1387,12 +1387,10 @@ pub fn run_all(scns: Vec<Scenario>, model: &PerformanceModel) -> Vec<Outcome> {
 /// becomes a `no_harness_panic` violation; a cell the aborted sweep never
 /// finished comes back [`skipped`](Outcome::skipped).
 fn run_cells(scns: Vec<Scenario>, run_one: impl Fn(&Scenario) -> Outcome + Sync) -> Vec<Outcome> {
-    let (mut partial, abort) = match try_par_map(scns.clone(), |s| run_one(&s)) {
+    let (partial, abort) = match try_par_map(scns.clone(), |s| run_one(&s)) {
         Ok(done) => return done,
         Err(failed) => failed,
     };
-    // A sequential sweep returns only the cells before the panic.
-    partial.resize_with(scns.len(), || None);
     (partial.into_iter().zip(scns).enumerate())
         .map(|(i, (done, scenario))| {
             done.unwrap_or_else(|| Outcome {

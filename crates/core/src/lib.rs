@@ -10,8 +10,9 @@
 //!
 //! Pipeline (mirroring §3's overview figure):
 //!
-//! 1. [`api::LbHmConfig`] — the `LB_HM_config` user API: register the data
-//!    objects to manage, with sizes known right before task execution;
+//! 1. the `LB_HM_config` user API — the data objects to manage, with sizes
+//!    known right before task execution — is
+//!    [`Workload::object_sizes`](merch_hm::Workload::object_sizes);
 //! 2. [`estimator`] — input-aware memory-access quantification (§4,
 //!    Equation 1) using pattern classification and α;
 //! 3. [`homog`] — execution-time prediction on homogeneous memory (§5.2);
@@ -24,8 +25,6 @@
 //!    input, per-instance prediction, quota-gated page migration (§6).
 
 pub mod allocator;
-pub mod api;
-pub mod auto;
 pub mod estimator;
 pub mod homog;
 pub mod perfmodel;
@@ -34,8 +33,6 @@ pub mod sentinel;
 pub mod training;
 
 pub use allocator::{plan_dram_accesses, AllocatorInput, AllocatorPlan, TaskInput};
-pub use api::LbHmConfig;
-pub use auto::Merchandiser;
 pub use estimator::{AccessEstimator, ObjectEstimate};
 pub use homog::HomogeneousPredictor;
 pub use perfmodel::PerformanceModel;

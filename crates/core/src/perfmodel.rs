@@ -10,14 +10,17 @@
 //! (pipelining, memory-level parallelism — Figure 3), so f(·) is a learned
 //! statistical model over hardware events plus `r`.
 
-use std::io::{self, BufRead, Write};
-use std::path::Path;
-
 use serde::{Deserialize, Serialize};
 
-use merch_models::persist::Portable;
-use merch_models::{CompiledEnsemble, GradientBoostedRegressor, Regressor};
-use merch_profiling::PmcEvents;
+use merch_hm::checkpoint::{Put, Reader};
+use merch_hm::system::HmError;
+use merch_models::tree::Node;
+use merch_models::{CompiledEnsemble, DecisionTreeRegressor, GradientBoostedRegressor, Regressor};
+use merch_profiling::{PmcEvents, ALL_EVENTS};
+
+/// Version of the model file format, the only one this build reads and
+/// writes.
+const MODEL_VERSION: u32 = 2;
 
 /// An Equation 2 evaluator the planner can consume — implemented by the
 /// interpreted [`PerformanceModel`] and its compiled fast-path twin
@@ -83,31 +86,147 @@ pub struct PerformanceModel {
 }
 
 impl PerformanceModel {
-    /// Persist the trained model (offline step: "the construction of f(·)
-    /// happens only once", §5.3).
-    pub fn save(&self, path: &Path) -> io::Result<()> {
-        let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
-        writeln!(f, "perfmodel v1 {}", self.num_events)?;
-        self.f.write_portable(&mut f)?;
-        f.flush()
+    /// The model file: f(·) is built "only once" and reused for any
+    /// application (§5.3). One record per line, floats in `{:?}` form so a
+    /// round trip is bit-exact:
+    ///
+    /// ```text
+    /// merchmodel 2
+    /// gbr <num_events> <n_estimators> <learning_rate> <max_depth> <seed> <base> <num_features> <stages>
+    /// tree <max_depth> <min_samples_split> <seed> <nodes>      (one per stage)
+    /// node leaf <value>                                        (one per node)
+    /// node split <feature> <threshold> <left> <right>
+    /// ```
+    pub fn encode(&self) -> String {
+        let g = &self.f;
+        let (base, stages, num_features) = g.parts();
+        let mut out = String::new();
+        out.put(format_args!(
+            "merchmodel {MODEL_VERSION}\ngbr {} {} {:?} {} {} {:?} {num_features} {}\n",
+            self.num_events,
+            g.n_estimators,
+            g.learning_rate,
+            g.max_depth,
+            g.seed,
+            base,
+            stages.len()
+        ));
+        for t in stages {
+            let nodes = t.nodes();
+            out.put(format_args!(
+                "tree {} {} {} {}\n",
+                t.max_depth,
+                t.min_samples_split,
+                t.seed,
+                nodes.len()
+            ));
+            for n in nodes {
+                match *n {
+                    Node::Leaf { value } => out.put(format_args!("node leaf {value:?}\n")),
+                    Node::Split {
+                        feature,
+                        threshold,
+                        left,
+                        right,
+                    } => out.put(format_args!(
+                        "node split {feature} {threshold:?} {left} {right}\n"
+                    )),
+                }
+            }
+        }
+        out
     }
 
-    /// Load a previously saved model.
-    pub fn load(path: &Path) -> io::Result<Self> {
-        let mut r = std::io::BufReader::new(std::fs::File::open(path)?);
-        let mut header = String::new();
-        r.read_line(&mut header)?;
-        let parts: Vec<&str> = header.split_whitespace().collect();
-        if parts.len() != 3 || parts[0] != "perfmodel" || parts[1] != "v1" {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "bad perfmodel header",
+    /// Decode a model file produced by [`encode`](Self::encode). Every
+    /// error is a located [`HmError::CheckpointCorrupt`]. A decoded model
+    /// predicts without panicking or looping: each split reads a feature
+    /// of the `[events[..k], r]` vector and points forward in its arena.
+    pub fn decode(text: &str) -> Result<Self, HmError> {
+        let mut r = Reader::named("model", text);
+        let mut c = r.line("merchmodel")?;
+        let version: u32 = c.next("version")?;
+        if version != MODEL_VERSION {
+            return Err(c.invalid(
+                "version",
+                format_args!(
+                    "unsupported model version {version} (this build reads {MODEL_VERSION})"
+                ),
             ));
         }
-        let num_events: usize = parts[2]
-            .parse()
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "bad num_events"))?;
-        let f = GradientBoostedRegressor::read_portable(&mut r)?;
+        c.end()?;
+        let mut c = r.line("gbr")?;
+        let num_events: usize = c.next("num_events")?;
+        let (n_estimators, learning_rate, max_depth, seed) = (
+            c.next("n_estimators")?,
+            c.next("learning_rate")?,
+            c.next("max_depth")?,
+            c.next("seed")?,
+        );
+        let base = c.next("base")?;
+        // f(·) reads the vector `features` builds: the first k events, then r.
+        let num_features: usize = c.next("num_features")?;
+        let width = num_events.min(ALL_EVENTS.len()) + 1;
+        if num_features != width {
+            return Err(c.invalid(
+                "num_features",
+                format_args!("{num_features}, but {num_events} events plus r are {width}"),
+            ));
+        }
+        let n_stages: usize = c.next("stages")?;
+        c.end()?;
+        let mut stages = Vec::new();
+        for _ in 0..n_stages {
+            let mut t = r.line("tree")?;
+            let (depth, min_samples_split, tree_seed) = (
+                t.next("max_depth")?,
+                t.next("min_samples_split")?,
+                t.next("seed")?,
+            );
+            let n_nodes: usize = t.next("nodes")?;
+            t.end()?;
+            let mut nodes = Vec::new();
+            for _ in 0..n_nodes {
+                let mut c = r.line("node")?;
+                nodes.push(match c.token("kind")? {
+                    "leaf" => Node::Leaf {
+                        value: c.next("value")?,
+                    },
+                    "split" => {
+                        let feature: usize = c.next("feature")?;
+                        if feature >= width {
+                            return Err(c.invalid(
+                                "feature",
+                                format_args!("{feature} is past the {width} features"),
+                            ));
+                        }
+                        Node::Split {
+                            feature,
+                            threshold: c.next("threshold")?,
+                            left: c.next("left")?,
+                            right: c.next("right")?,
+                        }
+                    }
+                    kind => {
+                        return Err(c.invalid("kind", format_args!("bad value `{kind}`")));
+                    }
+                });
+                c.end()?;
+            }
+            let tree =
+                DecisionTreeRegressor::from_nodes(nodes, depth, min_samples_split, tree_seed)
+                    .map_err(|e| t.invalid("nodes", e))?;
+            stages.push(tree);
+        }
+        r.finish()?;
+        let f = GradientBoostedRegressor::from_parts(
+            n_estimators,
+            learning_rate,
+            max_depth,
+            seed,
+            base,
+            stages,
+            num_features,
+        );
         Ok(Self { f, num_events })
     }
 
@@ -215,26 +334,127 @@ mod tests {
         assert!(PerformanceModel::f_target(0.0, 4.0, 4.0, 0.5).is_none());
     }
 
-    #[test]
-    fn save_load_round_trip() {
-        let mut f = GradientBoostedRegressor::new(30, 0.1, 3, 1);
-        let x: Vec<Vec<f64>> = (0..80)
-            .map(|i| (0..9).map(|j| ((i + j * 3) % 10) as f64).collect())
+    /// A model trained on `[8 events, r]` rows, and those rows.
+    fn trained() -> (PerformanceModel, Vec<Vec<f64>>) {
+        let mut f = GradientBoostedRegressor::new(40, 0.1, 3, 7);
+        let x: Vec<Vec<f64>> = (0..200)
+            .map(|i| {
+                (0..9)
+                    .map(|j| ((i * 13 + j * 7) % 23) as f64 / 23.0)
+                    .collect()
+            })
             .collect();
-        let y: Vec<f64> = x.iter().map(|r| 0.5 + 0.05 * r[0]).collect();
+        let y: Vec<f64> = x.iter().map(|r| (r[0] * 5.0).sin() + r[8]).collect();
         f.fit(&x, &y);
-        let m = PerformanceModel { f, num_events: 8 };
-        let dir = std::env::temp_dir().join("merch_model_test.txt");
-        m.save(&dir).unwrap();
-        let back = PerformanceModel::load(&dir).unwrap();
+        (PerformanceModel { f, num_events: 8 }, x)
+    }
+
+    fn assert_corrupt(text: &str) {
+        let got = PerformanceModel::decode(text);
+        assert!(
+            matches!(got, Err(HmError::CheckpointCorrupt(_))),
+            "{text:?} must be rejected: {got:?}"
+        );
+    }
+
+    #[test]
+    fn model_file_round_trips_bit_exact() {
+        let (m, x) = trained();
+        let text = m.encode();
+        let back = PerformanceModel::decode(&text).unwrap();
+        assert_eq!(back.num_events, 8);
+        assert_eq!(back.encode(), text);
+        for row in &x {
+            assert_eq!(
+                m.f.predict_one(row).to_bits(),
+                back.f.predict_one(row).to_bits()
+            );
+        }
         let ev = PmcEvents { values: [0.5; 14] };
         for r in [0.0, 0.3, 0.7] {
             assert_eq!(
-                m.predict(10.0, 4.0, &ev, r),
-                back.predict(10.0, 4.0, &ev, r)
+                m.predict(10.0, 4.0, &ev, r).to_bits(),
+                back.predict(10.0, 4.0, &ev, r).to_bits()
             );
         }
-        std::fs::remove_file(&dir).ok();
+    }
+
+    #[test]
+    fn compiled_model_survives_a_round_trip() {
+        // A planner restored from a model file replays identically: same
+        // fingerprint, same compiled prediction bits.
+        let (m, x) = trained();
+        let compiled = m.compile();
+        let recompiled = PerformanceModel::decode(&m.encode()).unwrap().compile();
+        assert_eq!(compiled.f.fingerprint(), recompiled.f.fingerprint());
+        assert_eq!(
+            Eq2Model::fingerprint(&compiled),
+            Eq2Model::fingerprint(&recompiled)
+        );
+        for row in &x {
+            assert_eq!(
+                compiled.f.predict_one(row).to_bits(),
+                recompiled.f.predict_one(row).to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn corrupt_model_files_are_rejected() {
+        let good = trained().0.encode();
+        let v1 = "gbr v1 1 0.1 1 0 0.0 1\nstages 1\ntree 1 1 2 0\nsplit 0 0.5 0 0\nend\n";
+        for garbage in [
+            "",
+            "merchmodel 1\n",
+            "perfmodel v1 8\n",
+            v1,
+            "merchmodel 2\ntree x\n",
+            "merchmodel 2\nnode leaf 1.0\n",
+        ] {
+            assert_corrupt(garbage);
+        }
+        // Truncated after the header, or with a trailing record.
+        let header_only: String = good.lines().take(2).map(|l| format!("{l}\n")).collect();
+        assert_corrupt(&header_only);
+        assert_corrupt(&format!("{good}node leaf 1.0\n"));
+        // f(·) reads `[8 events, r]`: a model of another width, or a split
+        // on a feature past r, would index past that vector.
+        assert_corrupt(&with_token(&good, "gbr", 6, "10"));
+        assert_corrupt(&with_token(&good, "node", 1, "9"));
+    }
+
+    /// `text` with token `i` (after the tag) of its first `tag` line set
+    /// to `value`.
+    fn with_token(text: &str, tag: &str, i: usize, value: &str) -> String {
+        let at = text.find(&format!("\n{tag} ")).unwrap() + 1;
+        let end = at + text[at..].find('\n').unwrap();
+        let mut toks: Vec<&str> = text[at..end].split_whitespace().collect();
+        toks[i + 1] = value;
+        format!("{}{}{}", &text[..at], toks.join(" "), &text[end..])
+    }
+
+    #[test]
+    fn splits_that_do_not_point_forward_are_rejected() {
+        // Decoded as is, a split pointing at itself or backwards sends
+        // prediction round the same nodes forever; an empty tree has no
+        // root to start from.
+        let stage = |nodes: &str| {
+            let n = nodes.lines().count();
+            format!("merchmodel 2\ngbr 0 1 0.1 1 0 0.0 1 1\ntree 1 2 0 {n}\n{nodes}")
+        };
+        assert!(PerformanceModel::decode(&stage("node leaf 1.0\n")).is_ok());
+        for nodes in [
+            "",
+            "node split 0 0.5 0 0\n",
+            "node leaf 1.0\nnode split 0 0.5 0 2\nnode leaf 1.0\n",
+            "node split 0 0.5 1 2\nnode leaf 1.0\n",
+        ] {
+            let got = PerformanceModel::decode(&stage(nodes));
+            let Err(HmError::CheckpointCorrupt(msg)) = got else {
+                panic!("{nodes:?} must be rejected: {got:?}");
+            };
+            assert!(msg.contains("line 3, `tree` field `nodes`"), "{msg}");
+        }
     }
 
     #[test]

@@ -55,16 +55,6 @@ impl PhaseCost {
         self.dram_accesses + self.pm_accesses
     }
 
-    /// DRAM share of accesses (`r_dram_acc` in Equation 2).
-    pub fn dram_ratio(&self) -> f64 {
-        let t = self.total_accesses();
-        if t > 0.0 {
-            self.dram_accesses / t
-        } else {
-            0.0
-        }
-    }
-
     /// Accumulate another phase's cost (time adds serially; phases of one
     /// task run back-to-back).
     pub fn accumulate(&mut self, other: &PhaseCost) {
@@ -502,17 +492,5 @@ mod tests {
         // Overlap reflects stream prefetchability.
         assert!(s.overlap > 0.9);
         assert!(r.overlap < 0.1);
-    }
-
-    #[test]
-    fn dram_ratio_of_cost() {
-        let cfg = config();
-        let c = phase_cost(
-            &cfg,
-            &stream_phase(1e6),
-            &UniformPlacement::new(vec![1 << 24], 0.25),
-            4,
-        );
-        assert!((c.dram_ratio() - 0.25).abs() < 1e-9);
     }
 }

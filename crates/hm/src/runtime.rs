@@ -294,31 +294,18 @@ impl RunReport {
 }
 
 /// View combining the page table placement with a policy override.
-struct PolicyView<'a> {
+struct PolicyView<'a, P: ?Sized> {
     sys: &'a HmSystem,
-    policy: &'a dyn PolicyViewSource,
+    policy: &'a P,
 }
 
-/// Object-safe subset of [`PlacementPolicy`] needed while tasks execute.
-trait PolicyViewSource: Sync {
-    fn override_fraction(&self, sys: &HmSystem, access: &ObjectAccess) -> Option<f64>;
-}
-
-struct PolicyRef<'p, P: PlacementPolicy + ?Sized>(&'p P);
-
-impl<P: PlacementPolicy + Sync + ?Sized> PolicyViewSource for PolicyRef<'_, P> {
-    fn override_fraction(&self, sys: &HmSystem, access: &ObjectAccess) -> Option<f64> {
-        self.0.dram_fraction_override(sys, access)
-    }
-}
-
-impl PlacementView for PolicyView<'_> {
+impl<P: PlacementPolicy + Sync + ?Sized> PlacementView for PolicyView<'_, P> {
     fn object_size(&self, object: ObjectId) -> u64 {
         self.sys.try_object(object).map(|o| o.size).unwrap_or(0)
     }
     fn dram_fraction(&self, access: &ObjectAccess) -> f64 {
         self.policy
-            .override_fraction(self.sys, access)
+            .dram_fraction_override(self.sys, access)
             .unwrap_or_else(|| self.sys.dram_fraction(access.object))
     }
 }
@@ -722,14 +709,11 @@ impl<W: Workload, P: PlacementPolicy + Sync> Executor<W, P> {
                     watchdog_pages = self.sys.total_migration_attempts - attempts_before;
                     if acted && watchdog_pages > 0 {
                         let correction_ns = migration_time_ns(&active, watchdog_pages);
-                        let new_cost = {
-                            let policy_ref = PolicyRef(&self.policy);
-                            let view = PolicyView {
-                                sys: &self.sys,
-                                policy: &policy_ref,
-                            };
-                            task_cost(&active, &works[i], &view, concurrency)
+                        let view = PolicyView {
+                            sys: &self.sys,
+                            policy: &self.policy,
                         };
+                        let new_cost = task_cost(&active, &works[i], &view, concurrency);
                         // The straggler ran `detect_ns` before the watchdog
                         // fired; the remaining fraction re-runs at the
                         // corrected placement's speed.
@@ -819,11 +803,7 @@ fn execute_tasks<P: PlacementPolicy + Sync>(
     works: &[TaskWork],
     concurrency: usize,
 ) -> Vec<TaskResult> {
-    let policy_ref = PolicyRef(policy);
-    let view = PolicyView {
-        sys,
-        policy: &policy_ref,
-    };
+    let view = PolicyView { sys, policy };
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4)

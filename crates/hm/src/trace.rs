@@ -139,11 +139,6 @@ impl Phase {
         self.accesses.push(a);
         self
     }
-
-    /// Total program-level accesses of the phase.
-    pub fn total_program_accesses(&self) -> f64 {
-        self.accesses.iter().map(|a| a.accesses).sum()
-    }
 }
 
 /// The work of one task in one task instance (one round): an ordered list
@@ -250,7 +245,6 @@ mod tests {
         let p = Phase::new("numeric", 1e6)
             .with_access(acc(AccessPattern::Stream, 10.0, 8))
             .with_access(acc(AccessPattern::Random, 20.0, 8));
-        assert_eq!(p.total_program_accesses(), 30.0);
         let w = TaskWork::new(2).with_phase(p);
         assert_eq!(w.task, 2);
         assert_eq!(w.phases.len(), 1);

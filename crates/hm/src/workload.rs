@@ -31,8 +31,10 @@ pub trait Workload: Send {
     /// base input.
     fn num_instances(&self) -> usize;
 
-    /// Logical object sizes for `round`'s input, as `(name, bytes)` pairs.
-    /// Defaults to the allocation sizes (inputs that do not vary).
+    /// Logical object sizes for `round`'s input, as `(name, bytes)` pairs:
+    /// the `LB_HM_config(objects, sizes)` call of §4, made right before
+    /// each task instance. Defaults to the allocation sizes (inputs that
+    /// do not vary).
     fn object_sizes(&self, round: usize) -> Vec<(String, u64)> {
         let _ = round;
         self.object_specs()

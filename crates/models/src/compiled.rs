@@ -16,10 +16,10 @@
 //! Compilation preserves node order and the stage-order summation of the
 //! interpreter, so `predict_one` is **bitwise identical** to the
 //! interpreted ensemble (asserted by `compiled_matches_interpreted_bitwise`
-//! and by the persistence round-trip tests).
+//! and by the model-file round-trip tests).
 
 use crate::gbr::GradientBoostedRegressor;
-use crate::tree::PortableNode;
+use crate::tree::Node;
 
 /// Feature-index sentinel marking a leaf node; `threshold` then holds the
 /// leaf value.
@@ -84,7 +84,7 @@ impl CompiledEnsemble {
     /// Flatten a trained ensemble. The compiled form predicts bitwise
     /// identically to `g.predict_one` for every input row.
     pub fn compile(g: &GradientBoostedRegressor) -> Self {
-        let (base_prediction, stages, num_features) = g.portable_parts();
+        let (base_prediction, stages, num_features) = g.parts();
         let mut out = Self {
             base_prediction,
             learning_rate: g.learning_rate,
@@ -97,15 +97,15 @@ impl CompiledEnsemble {
             // `DecisionTreeRegressor::build` reserves the root slot before
             // its children, so arena index 0 is always the root.
             out.roots.push(offset);
-            for n in stage.portable_nodes() {
+            for &n in stage.nodes() {
                 out.nodes.push(match n {
-                    PortableNode::Leaf { value } => CompiledNode {
+                    Node::Leaf { value } => CompiledNode {
                         threshold: value,
                         feature: LEAF,
                         left: 0,
                         right: 0,
                     },
-                    PortableNode::Split {
+                    Node::Split {
                         feature,
                         threshold,
                         left,
@@ -129,20 +129,20 @@ impl CompiledEnsemble {
     /// validate a cached compilation against a live model without
     /// recompiling.
     pub fn fingerprint_of(g: &GradientBoostedRegressor) -> u64 {
-        let (base, stages, num_features) = g.portable_parts();
+        let (base, stages, num_features) = g.parts();
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         h = fnv(h, &base.to_bits().to_le_bytes());
         h = fnv(h, &g.learning_rate.to_bits().to_le_bytes());
         h = fnv(h, &(num_features as u64).to_le_bytes());
         h = fnv(h, &(stages.len() as u64).to_le_bytes());
         for stage in stages {
-            for n in stage.portable_nodes() {
+            for &n in stage.nodes() {
                 match n {
-                    PortableNode::Leaf { value } => {
+                    Node::Leaf { value } => {
                         h = fnv(h, &[0u8]);
                         h = fnv(h, &value.to_bits().to_le_bytes());
                     }
-                    PortableNode::Split {
+                    Node::Split {
                         feature,
                         threshold,
                         left,
@@ -169,11 +169,6 @@ impl CompiledEnsemble {
     /// Feature count the source ensemble was fitted on.
     pub fn num_features(&self) -> usize {
         self.num_features
-    }
-
-    /// Boosting stages compiled in.
-    pub fn num_stages(&self) -> usize {
-        self.roots.len()
     }
 
     /// Predict one row — bitwise identical to the interpreted
@@ -248,7 +243,7 @@ mod tests {
     fn untrained_ensemble_compiles_to_base() {
         let g = GradientBoostedRegressor::new(10, 0.1, 2, 0);
         let c = CompiledEnsemble::compile(&g);
-        assert_eq!(c.num_stages(), 0);
+        assert!(c.roots.is_empty());
         assert_eq!(
             c.predict_one(&[1.0]).to_bits(),
             g.predict_one(&[1.0]).to_bits()

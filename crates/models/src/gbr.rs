@@ -53,14 +53,15 @@ impl GradientBoostedRegressor {
         }
     }
 
-    /// Persistence view: (base prediction, stage trees, feature count).
-    pub fn portable_parts(&self) -> (f64, &[DecisionTreeRegressor], usize) {
+    /// The fitted parts: (base prediction, stage trees, feature count).
+    pub fn parts(&self) -> (f64, &[DecisionTreeRegressor], usize) {
         (self.base_prediction, &self.stages, self.num_features)
     }
 
-    /// Rebuild from persisted parts (see [`crate::persist`]).
+    /// Rebuild from the parts [`parts`](Self::parts) returns plus the
+    /// hyperparameters, e.g. when reading a model file back.
     #[allow(clippy::too_many_arguments)]
-    pub fn from_portable_parts(
+    pub fn from_parts(
         n_estimators: usize,
         learning_rate: f64,
         max_depth: usize,

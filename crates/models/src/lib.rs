@@ -15,8 +15,11 @@
 //! | ANN (MLP Regressor) | [`mlp::MlpRegressor`] |
 //!
 //! plus the supporting machinery: datasets and splits ([`data`]), the
-//! Table 3/Table 4 metrics ([`metrics`]), the flattened inference form of
-//! a trained GBR ([`compiled`]) and its persistence ([`persist`]). The
+//! Table 3/Table 4 metrics ([`metrics`]) and the flattened inference form
+//! of a trained GBR ([`compiled`]). The crate does no I/O: a trained GBR
+//! is written to and read from a model file by
+//! `merchandiser::perfmodel`, through its [`GradientBoostedRegressor::parts`]
+//! and [`tree::Node`] arenas. The
 //! 8 workload-characteristic events of §5.1 are the top of the all-events
 //! GBR's Gini importance ranking
 //! ([`GradientBoostedRegressor::feature_importances`]).
@@ -28,7 +31,6 @@ pub mod gbr;
 pub mod knn;
 pub mod metrics;
 pub mod mlp;
-pub mod persist;
 pub mod svr;
 pub mod tree;
 
@@ -39,7 +41,6 @@ pub use gbr::GradientBoostedRegressor;
 pub use knn::KNeighborsRegressor;
 pub use metrics::r2_score;
 pub use mlp::MlpRegressor;
-pub use persist::Portable;
 pub use svr::KernelRidgeRegressor;
 pub use tree::DecisionTreeRegressor;
 

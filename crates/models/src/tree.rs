@@ -7,9 +7,11 @@ use serde::{Deserialize, Serialize};
 
 use crate::Regressor;
 
-/// Persistence view of one tree node (see [`crate::persist`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum PortableNode {
+/// One node of a tree's flat arena. `DecisionTreeRegressor::build` pushes
+/// a split's slot before its children, so every child index is greater
+/// than its parent's and a walk from the root (index 0) ends at a leaf.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub enum Node {
     /// Terminal node predicting `value`.
     Leaf {
         /// Predicted value (leaf mean).
@@ -24,20 +26,6 @@ pub enum PortableNode {
         /// Arena index of the left child.
         left: usize,
         /// Arena index of the right child.
-        right: usize,
-    },
-}
-
-/// A node of the tree, stored in a flat arena.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-enum Node {
-    Leaf {
-        value: f64,
-    },
-    Split {
-        feature: usize,
-        threshold: f64,
-        left: usize,
         right: usize,
     },
 }
@@ -162,31 +150,17 @@ impl DecisionTreeRegressor {
         slot
     }
 
-    /// Flat arena view of the tree for persistence.
-    pub fn portable_nodes(&self) -> Vec<PortableNode> {
-        self.nodes
-            .iter()
-            .map(|n| match n {
-                Node::Leaf { value } => PortableNode::Leaf { value: *value },
-                Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => PortableNode::Split {
-                    feature: *feature,
-                    threshold: *threshold,
-                    left: *left,
-                    right: *right,
-                },
-            })
-            .collect()
+    /// The flat node arena, root first.
+    pub fn nodes(&self) -> &[Node] {
+        &self.nodes
     }
 
-    /// Rebuild a tree from a flat arena (persistence). Validates that every
-    /// child index points inside the arena.
-    pub fn from_portable(
-        nodes: Vec<PortableNode>,
+    /// Rebuild a tree from a flat arena, e.g. one read back from a model
+    /// file. Rejects an empty arena and any split whose child index is not
+    /// strictly after the split and inside the arena, so every walk from
+    /// the root ends at a leaf.
+    pub fn from_nodes(
+        nodes: Vec<Node>,
         max_depth: usize,
         min_samples_split: usize,
         seed: u64,
@@ -195,28 +169,16 @@ impl DecisionTreeRegressor {
             return Err("empty tree".to_string());
         }
         let n = nodes.len();
-        let nodes: Vec<Node> = nodes
-            .into_iter()
-            .map(|p| match p {
-                PortableNode::Leaf { value } => Ok(Node::Leaf { value }),
-                PortableNode::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    if left >= n || right >= n {
-                        return Err(format!("child index out of range ({left}/{right} of {n})"));
-                    }
-                    Ok(Node::Split {
-                        feature,
-                        threshold,
-                        left,
-                        right,
-                    })
+        for (i, node) in nodes.iter().enumerate() {
+            if let Node::Split { left, right, .. } = *node {
+                if !(i < left && left < n && i < right && right < n) {
+                    return Err(format!(
+                        "split {i} has children {left}/{right}, which must lie in {}..{n}",
+                        i + 1
+                    ));
                 }
-            })
-            .collect::<Result<_, String>>()?;
+            }
+        }
         Ok(Self {
             max_depth,
             min_samples_split,

@@ -116,19 +116,6 @@ impl AccessPattern {
             AccessPattern::Random => 0.20,
         }
     }
-
-    /// Whether α for this pattern must be refined online (§4): true for
-    /// input-dependent stencils and random/unknown patterns.
-    pub fn needs_online_refinement(&self) -> bool {
-        matches!(
-            self,
-            AccessPattern::Random
-                | AccessPattern::Stencil {
-                    input_dependent: true,
-                    ..
-                }
-        )
-    }
 }
 
 impl std::fmt::Display for AccessPattern {
@@ -177,22 +164,6 @@ mod tests {
         assert_eq!(small.latency_class(), LatencyClass::Sequential);
         assert_eq!(large.latency_class(), LatencyClass::Random);
         assert!(small.effective_mlp() > large.effective_mlp());
-    }
-
-    #[test]
-    fn random_needs_refinement_stream_does_not() {
-        assert!(AccessPattern::Random.needs_online_refinement());
-        assert!(!AccessPattern::Stream.needs_online_refinement());
-        assert!(AccessPattern::Stencil {
-            points: 5,
-            input_dependent: true
-        }
-        .needs_online_refinement());
-        assert!(!AccessPattern::Stencil {
-            points: 5,
-            input_dependent: false
-        }
-        .needs_online_refinement());
     }
 
     #[test]

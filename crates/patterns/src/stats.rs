@@ -45,16 +45,6 @@ impl PatternStats {
         }
         1.0 - self.unclassified_bytes as f64 / self.total_bytes as f64
     }
-
-    /// Fraction of the classified footprint under the random pattern — the
-    /// regular/irregular split of Figure 7.
-    pub fn irregular_share(&self) -> f64 {
-        let classified = self.total_bytes - self.unclassified_bytes;
-        if classified == 0 {
-            return 0.0;
-        }
-        *self.bytes_by_label.get("random").unwrap_or(&0) as f64 / classified as f64
-    }
 }
 
 /// Irregularity of an access-pattern *mix* weighted by access counts rather
@@ -101,14 +91,12 @@ mod tests {
         assert_eq!(s.bytes_by_label["random"], 300);
         assert_eq!(s.unclassified_bytes, 100);
         assert!((s.coverage() - 0.9).abs() < 1e-12);
-        assert!((s.irregular_share() - 300.0 / 900.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_inputs() {
         let s = PatternStats::compute(&map(), &[]);
         assert_eq!(s.coverage(), 0.0);
-        assert_eq!(s.irregular_share(), 0.0);
         assert_eq!(irregular_access_share(std::iter::empty()), 0.0);
     }
 

@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 use serde::{Deserialize, Serialize};
 
 use merch_hm::cost::{phase_cost, UniformPlacement};
-use merch_hm::{HmConfig, Phase, TaskWork, Tier};
+use merch_hm::{HmConfig, TaskWork, Tier};
 
 /// Scale factor between a base input and a new input derived from their
 /// object-size vectors: cosine similarity (direction: is the input *shaped*
@@ -75,13 +75,6 @@ impl BasicBlockTable {
         t
     }
 
-    /// Record additional executions of the base input (online step 1:
-    /// "counting how many times basic blocks are executed using the base
-    /// input").
-    pub fn count_execution(&mut self, phase: &Phase) {
-        *self.base_counts.entry(phase.name.clone()).or_insert(0.0) += 1.0;
-    }
-
     /// Predict execution time on a homogeneous tier for a new input whose
     /// size vector relates to the base input by `scale`
     /// (see [`similarity_scale`]).
@@ -103,7 +96,7 @@ impl BasicBlockTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use merch_hm::{ObjectAccess, ObjectId};
+    use merch_hm::{ObjectAccess, ObjectId, Phase};
     use merch_patterns::AccessPattern;
 
     fn work() -> TaskWork {
@@ -154,16 +147,6 @@ mod tests {
         let double = t.predict(Tier::Pm, 2.0);
         assert!((double - 2.0 * base).abs() < 1e-6);
         assert!(t.predict(Tier::Dram, 1.0) < base);
-    }
-
-    #[test]
-    fn counting_executions_increases_prediction() {
-        let cfg = HmConfig::default();
-        let w = work();
-        let mut t = BasicBlockTable::measure(&cfg, &w, &[1 << 30], 8);
-        let before = t.predict(Tier::Pm, 1.0);
-        t.count_execution(&w.phases[0]);
-        assert!(t.predict(Tier::Pm, 1.0) > before);
     }
 
     #[test]

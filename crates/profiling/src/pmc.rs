@@ -81,16 +81,6 @@ impl PmcEvents {
         self.values.iter().all(|v| v.is_finite())
     }
 
-    /// Number of lost (non-finite) events.
-    pub fn missing_count(&self) -> usize {
-        self.values.iter().filter(|v| !v.is_finite()).count()
-    }
-
-    /// The paper's 8-event feature vector.
-    pub fn top8(&self) -> Vec<f64> {
-        self.features(8)
-    }
-
     /// Value of a named event.
     pub fn get(&self, name: &str) -> Option<f64> {
         ALL_EVENTS
@@ -281,7 +271,6 @@ mod tests {
         let gen = PmcGenerator::new(1);
         let ev = gen.collect(&cfg, &work(AccessPattern::Stream, 1e5, 0.0), &[1 << 20], 4);
         assert_eq!(ev.features(3).len(), 3);
-        assert_eq!(ev.top8().len(), 8);
         assert_eq!(ev.features(100).len(), NUM_EVENTS);
         assert!(ev.get("nope").is_none());
     }
@@ -305,12 +294,10 @@ mod tests {
         let gen = PmcGenerator::new(2);
         let mut ev = gen.collect(&cfg, &work(AccessPattern::Stream, 1e5, 0.0), &[1 << 20], 4);
         assert!(ev.is_complete());
-        assert_eq!(ev.missing_count(), 0);
         ev.mark_missing(1);
         ev.mark_missing(12);
         ev.mark_missing(999); // out of range: no-op
         assert!(!ev.is_complete());
-        assert_eq!(ev.missing_count(), 2);
         assert!(ev.get("IPC").unwrap().is_nan());
     }
 

@@ -15,7 +15,6 @@
 
 use std::collections::BTreeMap;
 
-use merchandiser_suite::core::api::LbHmConfig;
 use merchandiser_suite::core::training::{self, TrainingOptions};
 use merchandiser_suite::core::MerchandiserPolicy;
 use merchandiser_suite::hm::page::PAGE_SIZE;
@@ -48,13 +47,12 @@ impl JoinPipeline {
 
     /// The `LB_HM_config` call the user inserts right before execution:
     /// objects and their sizes for the upcoming batch.
-    fn lb_hm_config(&self, round: usize) -> LbHmConfig {
-        let mut c = LbHmConfig::new().with_object("dict", 6 << 20);
+    fn lb_hm_config(&self, round: usize) -> BTreeMap<String, u64> {
+        let mut c = BTreeMap::from([("dict".to_string(), 6 << 20)]);
         for (w, rows) in self.shard_rows.iter().enumerate() {
             let scale = 1.0 + round as f64 * 0.05;
-            c = c
-                .with_object(&format!("shard{w}"), (*rows as f64 * 32.0 * scale) as u64)
-                .with_object(&format!("out{w}"), (*rows as f64 * 16.0 * scale) as u64);
+            c.insert(format!("shard{w}"), (*rows as f64 * 32.0 * scale) as u64);
+            c.insert(format!("out{w}"), (*rows as f64 * 16.0 * scale) as u64);
         }
         c
     }
@@ -67,15 +65,11 @@ impl Workload for JoinPipeline {
 
     fn object_specs(&self) -> Vec<ObjectSpec> {
         let max = self.lb_hm_config(self.rounds - 1);
-        let mut specs = vec![ObjectSpec::new("dict", max.objects["dict"]).with_skew(1.0)];
+        let mut specs = vec![ObjectSpec::new("dict", max["dict"]).with_skew(1.0)];
         for w in 0..WORKERS {
-            specs.push(
-                ObjectSpec::new(&format!("shard{w}"), max.objects[&format!("shard{w}")])
-                    .owned_by(w),
-            );
-            specs.push(
-                ObjectSpec::new(&format!("out{w}"), max.objects[&format!("out{w}")]).owned_by(w),
-            );
+            specs
+                .push(ObjectSpec::new(&format!("shard{w}"), max[&format!("shard{w}")]).owned_by(w));
+            specs.push(ObjectSpec::new(&format!("out{w}"), max[&format!("out{w}")]).owned_by(w));
         }
         specs
     }
@@ -89,7 +83,7 @@ impl Workload for JoinPipeline {
     }
 
     fn object_sizes(&self, round: usize) -> Vec<(String, u64)> {
-        self.lb_hm_config(round).objects.into_iter().collect()
+        self.lb_hm_config(round).into_iter().collect()
     }
 
     fn instance(&mut self, round: usize, sys: &HmSystem) -> Vec<TaskWork> {

@@ -1,8 +1,8 @@
 //! Decoder totality: every state decoder that reads bytes from outside the
 //! process — `Checkpoint::decode`, `Wal::latest`,
-//! `MerchandiserPolicy::restore_state` and
-//! `GradientBoostedRegressor::read_portable` — returns a typed error or a
-//! value for any input, never a panic or an allocation abort. Inputs are
+//! `MerchandiserPolicy::restore_state` and `PerformanceModel::decode` —
+//! returns a typed error or a value for any input, never a panic or an
+//! allocation abort, and a decoded model's prediction returns. Inputs are
 //! arbitrary bytes and mutated valid payloads: byte flips, truncations,
 //! and a numeric (count) token replaced by `u64::MAX` or `2^40`. Each
 //! count field and each way bad bytes reach `Wal::latest` also has its own
@@ -21,8 +21,9 @@ use merchandiser_suite::hm::runtime::{Executor, PlacementPolicy};
 use merchandiser_suite::hm::system::HmError;
 use merchandiser_suite::hm::workload::testutil::SkewedWorkload;
 use merchandiser_suite::hm::{Checkpoint, FaultPlan, HmConfig, HmSystem, Wal, Warning};
-use merchandiser_suite::models::{GradientBoostedRegressor, Portable, Regressor};
+use merchandiser_suite::models::{GradientBoostedRegressor, Regressor};
 use merchandiser_suite::patterns::ObjectPatternMap;
+use merchandiser_suite::profiling::PmcEvents;
 
 fn linear_model() -> PerformanceModel {
     let mut f = GradientBoostedRegressor::new(1, 0.1, 1, 0);
@@ -48,12 +49,12 @@ fn temp_path() -> std::path::PathBuf {
 
 /// Valid inputs for every decoder, built once: a fault-armed supervised
 /// run's WAL, its last checkpoint payload, that checkpoint's Merchandiser
-/// state blob, and a trained model in the portable text format.
+/// state blob, and a trained model file.
 struct Valid {
     wal: Vec<u8>,
     checkpoint: String,
     policy: String,
-    model: Vec<u8>,
+    model: String,
 }
 
 fn valid() -> &'static Valid {
@@ -82,17 +83,17 @@ fn valid() -> &'static Valid {
         std::fs::remove_file(&path).ok();
         assert!(!ck.policy_state.is_empty());
 
-        let mut gbr = GradientBoostedRegressor::new(8, 0.1, 3, 1);
-        let x: Vec<Vec<f64>> = (0..40).map(|i| vec![i as f64, (i % 7) as f64]).collect();
-        let y: Vec<f64> = x.iter().map(|r| r[0] * 0.5 + r[1]).collect();
-        gbr.fit(&x, &y);
-        let mut model = Vec::new();
-        gbr.write_portable(&mut model).unwrap();
+        let mut f = GradientBoostedRegressor::new(8, 0.1, 3, 1);
+        let x: Vec<Vec<f64>> = (0..40)
+            .map(|i| (0..9).map(|j| ((i * 5 + j) % 7) as f64).collect())
+            .collect();
+        let y: Vec<f64> = x.iter().map(|r| r[0] * 0.5 + r[8]).collect();
+        f.fit(&x, &y);
         Valid {
             wal: bytes,
             checkpoint: ck.encode(),
             policy: ck.policy_state,
-            model,
+            model: PerformanceModel { f, num_events: 8 }.encode(),
         }
     })
 }
@@ -146,8 +147,16 @@ fn restore_state(bytes: &[u8]) {
     let _ = policy().restore_state(&String::from_utf8_lossy(bytes));
 }
 
-fn read_portable(bytes: &[u8]) {
-    let _ = GradientBoostedRegressor::read_portable(&mut &bytes[..]);
+/// Decode a model file, and predict through whatever decodes: a decoded
+/// tree must not hang or panic the walk.
+fn model_decode(bytes: &[u8]) {
+    if let Ok(m) = PerformanceModel::decode(&String::from_utf8_lossy(bytes)) {
+        let events = PmcEvents { values: [0.5; 14] };
+        for r in [0.0, 0.5] {
+            m.predict(10.0, 4.0, &events, r);
+            m.compile().predict(10.0, 4.0, &events, r);
+        }
+    }
 }
 
 #[test]
@@ -155,7 +164,7 @@ fn valid_inputs_decode() {
     let v = valid();
     assert!(Checkpoint::decode(&v.checkpoint).is_ok());
     policy().restore_state(&v.policy).unwrap();
-    GradientBoostedRegressor::read_portable(&mut &v.model[..]).unwrap();
+    PerformanceModel::decode(&v.model).unwrap();
 }
 
 /// `decode` of `payload` with each numeric token set to each huge count.
@@ -172,7 +181,7 @@ fn every_count_token_set_huge_is_handled() {
     let v = valid();
     every_count_token_set_huge(v.checkpoint.as_bytes(), checkpoint_decode);
     every_count_token_set_huge(v.policy.as_bytes(), restore_state);
-    every_count_token_set_huge(&v.model, read_portable);
+    every_count_token_set_huge(v.model.as_bytes(), model_decode);
 }
 
 proptest! {
@@ -183,7 +192,7 @@ proptest! {
         checkpoint_decode(&bytes);
         wal_latest(&bytes);
         restore_state(&bytes);
-        read_portable(&bytes);
+        model_decode(&bytes);
     }
 
     #[test]
@@ -192,7 +201,7 @@ proptest! {
         checkpoint_decode(&mutate(v.checkpoint.as_bytes(), how, at, mask));
         wal_latest(&mutate(&v.wal, how, at, mask));
         restore_state(&mutate(v.policy.as_bytes(), how, at, mask));
-        read_portable(&mutate(&v.model, how, at, mask));
+        model_decode(&mutate(v.model.as_bytes(), how, at, mask));
     }
 }
 
@@ -237,12 +246,14 @@ fn policy_count_rejected(tag: &str, i: usize) {
     }
 }
 
-fn model_count_rejected(tag: &str) {
-    let text = std::str::from_utf8(&valid().model).unwrap();
+fn model_count_rejected(tag: &str, i: usize) {
     for n in HUGE {
-        let bad = with_token(text, tag, 0, n);
-        let err = GradientBoostedRegressor::read_portable(&mut bad.as_bytes()).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{tag} = {n}");
+        assert_corrupt(PerformanceModel::decode(&with_token(
+            &valid().model,
+            tag,
+            i,
+            n,
+        )));
     }
 }
 
@@ -380,16 +391,20 @@ fn corrupt_tokens_name_their_line_and_tag() {
         let bad = with_token(&v.policy, tag, i, "x7");
         assert_located(&v.policy, tag, policy().restore_state(&bad));
     }
+    for (tag, i) in [("gbr", 3), ("tree", 2), ("node", 2)] {
+        let bad = with_token(&v.model, tag, i, "x7");
+        assert_located(&v.model, tag, PerformanceModel::decode(&bad).map(drop));
+    }
 }
 
 #[test]
-fn huge_tree_node_count_is_invalid_data() {
-    model_count_rejected("tree");
+fn huge_tree_node_count_is_corrupt() {
+    model_count_rejected("tree", 3);
 }
 
 #[test]
-fn huge_stage_count_is_invalid_data() {
-    model_count_rejected("stages");
+fn huge_stage_count_is_corrupt() {
+    model_count_rejected("gbr", 7);
 }
 
 // `Wal::latest` finds frames on bytes: bad bytes after a valid record never

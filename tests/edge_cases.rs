@@ -3,7 +3,6 @@
 
 use std::collections::BTreeMap;
 
-use merchandiser_suite::core::auto::Merchandiser;
 use merchandiser_suite::core::{plan_dram_accesses, AllocatorInput, MerchandiserPolicy, TaskInput};
 use merchandiser_suite::hm::page::PAGE_SIZE;
 use merchandiser_suite::hm::runtime::StaticPolicy;
@@ -172,8 +171,8 @@ impl Workload for ShrinkingApp {
 #[test]
 fn shrinking_inputs_do_not_break_estimation() {
     let cfg = HmConfig::calibrated(32 * PAGE_SIZE, 1024 * PAGE_SIZE);
-    let merch = Merchandiser::from_model(linear_model());
-    let report = merch.run(cfg, ShrinkingApp, 4);
+    let policy = MerchandiserPolicy::new(linear_model(), Default::default(), BTreeMap::new(), 4);
+    let report = Executor::new(HmSystem::new(cfg, 4), ShrinkingApp, policy).run();
     assert_eq!(report.rounds.len(), 3);
     for r in &report.rounds {
         assert!(r.round_time_ns.is_finite());

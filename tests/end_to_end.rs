@@ -8,15 +8,18 @@ use merchandiser_suite::apps::{HpcApp, SpgemmApp};
 use merchandiser_suite::baselines::{MemoryModePolicy, MemoryOptimizerPolicy, SpartaPolicy};
 use merchandiser_suite::core::training::{self, TrainingOptions};
 use merchandiser_suite::core::{MerchandiserPolicy, PerformanceModel};
+use merchandiser_suite::hm::page::PAGE_SIZE;
 use merchandiser_suite::hm::runtime::StaticPolicy;
+use merchandiser_suite::hm::workload::testutil::SkewedWorkload;
 use merchandiser_suite::hm::{Executor, HmConfig, HmSystem, Tier, Workload};
 use merchandiser_suite::patterns::classify_kernel;
 
 const SEED: u64 = 7_2023;
 
-fn trained_model() -> PerformanceModel {
+/// f(·) trained offline against the platform `config`.
+fn trained_model(config: &HmConfig) -> PerformanceModel {
     let samples = training::generate_code_samples(80, SEED);
-    let dataset = training::build_training_dataset(&HmConfig::default(), &samples, 10, SEED);
+    let dataset = training::build_training_dataset(config, &samples, 10, SEED);
     let opts = TrainingOptions {
         include_mlp: false,
         include_all_models: false,
@@ -31,7 +34,7 @@ fn small_spgemm() -> SpgemmApp {
 
 #[test]
 fn merchandiser_beats_every_generic_baseline_on_spgemm() {
-    let model = trained_model();
+    let model = trained_model(&HmConfig::default());
     let cfg = small_spgemm().recommended_config();
 
     let pm = Executor::new(
@@ -73,7 +76,7 @@ fn merchandiser_beats_every_generic_baseline_on_spgemm() {
 
 #[test]
 fn sparta_beats_task_agnostic_policies_but_not_merchandiser() {
-    let model = trained_model();
+    let model = trained_model(&HmConfig::default());
     let cfg = small_spgemm().recommended_config();
     let sparta = Executor::new(
         HmSystem::new(cfg.clone(), SEED),
@@ -102,7 +105,7 @@ fn sparta_beats_task_agnostic_policies_but_not_merchandiser() {
 
 #[test]
 fn merchandiser_reduces_load_imbalance() {
-    let model = trained_model();
+    let model = trained_model(&HmConfig::default());
     let cfg = small_spgemm().recommended_config();
     let pm = Executor::new(
         HmSystem::new(cfg.clone(), SEED),
@@ -144,7 +147,7 @@ fn merchandiser_reduces_load_imbalance() {
 
 #[test]
 fn policies_never_exceed_dram_capacity() {
-    let model = trained_model();
+    let model = trained_model(&HmConfig::default());
     let cfg = small_spgemm().recommended_config();
     // MemoryOptimizer.
     let mut ex = Executor::new(
@@ -171,7 +174,7 @@ fn policies_never_exceed_dram_capacity() {
 fn merchandiser_handles_empty_reuse_hints_and_unknown_patterns() {
     // Unknown object patterns fall back to random + online refinement and
     // the run completes.
-    let model = trained_model();
+    let model = trained_model(&HmConfig::default());
     let cfg = small_spgemm().recommended_config();
     let app = small_spgemm();
     let merch = Executor::new(
@@ -182,4 +185,31 @@ fn merchandiser_handles_empty_reuse_hints_and_unknown_patterns() {
     .run();
     assert_eq!(merch.rounds.len(), 6);
     assert!(merch.total_time_ns() > 0.0);
+}
+
+#[test]
+fn model_retrained_for_cxl_beats_pm_only_on_cxl() {
+    // §5.3 extensibility: on another memory platform f(·) is re-constructed
+    // from training data collected on that platform.
+    let cxl = HmConfig::cxl_calibrated(256 * PAGE_SIZE, 8192 * PAGE_SIZE);
+    let app = || SkewedWorkload {
+        tasks: 4,
+        rounds: 5,
+        base_accesses: 1e6,
+        obj_bytes: 128 * PAGE_SIZE,
+    };
+    let policy = MerchandiserPolicy::new(
+        trained_model(&cxl),
+        classify_kernel(&app().kernel_ir()),
+        app().reuse_hints(),
+        SEED,
+    );
+    let merch = Executor::new(HmSystem::new(cxl.clone(), SEED), app(), policy).run();
+    let pm = Executor::new(
+        HmSystem::new(cxl, SEED),
+        app(),
+        StaticPolicy { tier: Tier::Pm },
+    )
+    .run();
+    assert!(merch.total_time_ns() < pm.total_time_ns());
 }

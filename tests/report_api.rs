@@ -1,7 +1,6 @@
 //! Behavioural tests of the reporting and API surfaces that the
 //! experiments rely on.
 
-use merchandiser_suite::core::api::LbHmConfig;
 use merchandiser_suite::core::homog::HomogeneousPredictor;
 use merchandiser_suite::hm::cost::PhaseCost;
 use merchandiser_suite::hm::runtime::{RoundReport, RunReport, TaskResult};
@@ -91,11 +90,12 @@ fn empty_run_report_is_zero() {
 
 #[test]
 fn lb_hm_config_size_vector_feeds_similarity() {
-    // The §5.2 flow end to end: two calls to the user API, one with grown
-    // inputs, produce the expected similarity scale.
-    let base = LbHmConfig::from_slices(&["H", "PSI"], &[100, 200]);
-    let grown = LbHmConfig::from_slices(&["H", "PSI"], &[200, 400]);
-    let scale = similarity_scale(&base.size_vector(), &grown.size_vector());
+    // The §5.2 flow end to end: the sizes of two `LB_HM_config` calls
+    // (objects `H` and `PSI`), one with grown inputs, produce the expected
+    // similarity scale.
+    let base = [100.0, 200.0];
+    let grown = [200.0, 400.0];
+    let scale = similarity_scale(&base, &grown);
     assert!((scale - 2.0).abs() < 1e-12);
 }
 
