@@ -1524,6 +1524,57 @@ mod tests {
         reference.assert_matches(&pt);
     }
 
+    /// A table of three `SHARD_PAGES` blocks, pinned bit for bit: a
+    /// skewed object straddles the first block boundary and a uniform
+    /// object after it straddles the second, and a migration and access
+    /// records cross both. Run boundaries, the run count and every
+    /// streak-spec sum (partials folded per block) must not move when the
+    /// run store changes shape.
+    #[test]
+    fn multi_block_table_is_pinned() {
+        const S: u64 = SHARD_PAGES;
+        let n = 2 * S + 17;
+        let mut pt = PageTable::default();
+        let head = S - 300;
+        pt.extend_for_object(
+            ObjectId(0),
+            Tier::Pm,
+            vec![1.0 / head as f64; head as usize],
+        );
+        pt.extend_for_object(ObjectId(1), Tier::Pm, page_weights(600, 1.2, 11));
+        let tail = n - (S + 300);
+        pt.extend_for_object(
+            ObjectId(2),
+            Tier::Pm,
+            std::iter::repeat_n(1.0 / tail as f64, tail as usize),
+        );
+        pt.set_tier_range(S - 150..S + 200, Tier::Dram);
+        pt.set_tier_range(2 * S - 10..2 * S + 5, Tier::Dram);
+        pt.record_accesses(S - 400..S + 400, 1e4);
+        pt.record_accesses(S + 300..n, 3e5);
+        pt.flush_aggregates();
+        pt.debug_verify();
+        let bits = |(t, i): (f64, [f64; 2])| [t.to_bits(), i[0].to_bits(), i[1].to_bits()];
+        let runs = format!("{:?}", pt.runs().collect::<Vec<_>>());
+        let got = (
+            pt.num_extents(),
+            bits(pt.scan_weight_sums(0..n)),
+            bits(pt.scan_weight_sums(S - 200..2 * S + 9)),
+            crate::checkpoint::fnv1a64(runs.as_bytes()),
+        );
+        let whole = [
+            0x4007_ffff_ffff_ffff,
+            0x3fe7_9f64_b205_9a9b,
+            0x4002_1826_d37e_9959,
+        ];
+        let mid = [
+            0x3ffe_7c79_e5a3_da89,
+            0x3fe7_9f64_b205_9a9b,
+            0x3ff2_acc7_8ca1_0d3c,
+        ];
+        assert_eq!(got, (607, whole, mid, 0xa9fe_f477_bee3_efe6));
+    }
+
     #[test]
     fn ref_table_tracks_engine_through_mixed_ops() {
         let mut pt = PageTable::default();
