@@ -139,6 +139,61 @@ pub fn row_partitions(n: usize, k: usize) -> Vec<std::ops::Range<usize>> {
         .collect()
 }
 
+/// Generate a Kronecker-product graph (the GAP-kron family): the adjacency
+/// of `G ⊗ G ⊗ ... ⊗ G` (k factors) of a small seed matrix, sampled
+/// edge-by-edge exactly like R-MAT but with the Graph500 Kronecker initiator
+/// probabilities and per-level noise (the "+/- 0.1 noise" of the reference
+/// generator), which sharpens the degree skew relative to plain R-MAT.
+pub fn kron(scale: u32, edges_per_vertex: usize, seed: u64) -> Csr {
+    let n = 1usize << scale;
+    let m = n * edges_per_vertex;
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x6B72_6F6E);
+    let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(m);
+    for _ in 0..m {
+        let (mut r, mut c) = (0usize, 0usize);
+        for bit in (0..scale).rev() {
+            // Initiator [[0.57, 0.19], [0.19, 0.05]] with per-level noise.
+            let noise: f64 = rng.gen_range(-0.1..0.1);
+            let a = (0.57 + noise).clamp(0.05, 0.9);
+            let b = 0.19;
+            let cc = 0.19;
+            let p: f64 = rng.gen();
+            let (dr, dc) = if p < a {
+                (0, 0)
+            } else if p < a + b {
+                (0, 1)
+            } else if p < a + b + cc {
+                (1, 0)
+            } else {
+                (1, 1)
+            };
+            r |= dr << bit;
+            c |= dc << bit;
+        }
+        pairs.push((r as u32, c as u32));
+    }
+    pairs.sort_unstable();
+    pairs.dedup();
+    let mut row_ptr = vec![0u32; n + 1];
+    for &(r, _) in &pairs {
+        row_ptr[r as usize + 1] += 1;
+    }
+    for i in 0..n {
+        row_ptr[i + 1] += row_ptr[i];
+    }
+    let cols: Vec<u32> = pairs.iter().map(|&(_, c)| c).collect();
+    let vals: Vec<f64> = pairs
+        .iter()
+        .map(|&(r, c)| ((r as u64 * 131 + c as u64 * 37) % 89) as f64 / 89.0 + 0.5)
+        .collect();
+    Csr {
+        n,
+        row_ptr,
+        cols,
+        vals,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,61 +272,6 @@ mod tests {
             g.bytes(),
             (g.row_ptr.len() * 4 + g.cols.len() * 4 + g.vals.len() * 8) as u64
         );
-    }
-}
-
-/// Generate a Kronecker-product graph (the GAP-kron family): the adjacency
-/// of `G ⊗ G ⊗ ... ⊗ G` (k factors) of a small seed matrix, sampled
-/// edge-by-edge exactly like R-MAT but with the Graph500 Kronecker initiator
-/// probabilities and per-level noise (the "+/- 0.1 noise" of the reference
-/// generator), which sharpens the degree skew relative to plain R-MAT.
-pub fn kron(scale: u32, edges_per_vertex: usize, seed: u64) -> Csr {
-    let n = 1usize << scale;
-    let m = n * edges_per_vertex;
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x6B72_6F6E);
-    let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(m);
-    for _ in 0..m {
-        let (mut r, mut c) = (0usize, 0usize);
-        for bit in (0..scale).rev() {
-            // Initiator [[0.57, 0.19], [0.19, 0.05]] with per-level noise.
-            let noise: f64 = rng.gen_range(-0.1..0.1);
-            let a = (0.57 + noise).clamp(0.05, 0.9);
-            let b = 0.19;
-            let cc = 0.19;
-            let p: f64 = rng.gen();
-            let (dr, dc) = if p < a {
-                (0, 0)
-            } else if p < a + b {
-                (0, 1)
-            } else if p < a + b + cc {
-                (1, 0)
-            } else {
-                (1, 1)
-            };
-            r |= dr << bit;
-            c |= dc << bit;
-        }
-        pairs.push((r as u32, c as u32));
-    }
-    pairs.sort_unstable();
-    pairs.dedup();
-    let mut row_ptr = vec![0u32; n + 1];
-    for &(r, _) in &pairs {
-        row_ptr[r as usize + 1] += 1;
-    }
-    for i in 0..n {
-        row_ptr[i + 1] += row_ptr[i];
-    }
-    let cols: Vec<u32> = pairs.iter().map(|&(_, c)| c).collect();
-    let vals: Vec<f64> = pairs
-        .iter()
-        .map(|&(r, c)| ((r as u64 * 131 + c as u64 * 37) % 89) as f64 / 89.0 + 0.5)
-        .collect();
-    Csr {
-        n,
-        row_ptr,
-        cols,
-        vals,
     }
 }
 

@@ -423,6 +423,17 @@ mod tests {
         assert_corrupt(&with_token(&good, "node", 1, "9"));
     }
 
+    /// A bad model file names its own format, not the checkpoint's.
+    #[test]
+    fn model_errors_name_the_model_format() {
+        let Err(e) = PerformanceModel::decode("perfmodel v1\n") else {
+            panic!("an old perfmodel v1 header must be rejected");
+        };
+        let msg = e.to_string();
+        assert!(msg.starts_with("corrupt model line 1: "), "{msg}");
+        assert!(!msg.contains("checkpoint"), "{msg}");
+    }
+
     /// `text` with token `i` (after the tag) of its first `tag` line set
     /// to `value`.
     fn with_token(text: &str, tag: &str, i: usize, value: &str) -> String {

@@ -40,6 +40,23 @@ use crate::homog::HomogeneousPredictor;
 use crate::perfmodel::{CompiledPerformanceModel, Eq2Model, PerformanceModel};
 use crate::sentinel::{DriftSentinel, TaskSample};
 
+/// Fraction of DRAM withheld from Algorithm 1 (page-cache headroom).
+const DRAM_RESERVE: f64 = 0.05;
+
+/// Straggler strikes a task may accumulate before the watchdog stops
+/// emergency re-planning and escalates to the degradation ladder.
+const WATCHDOG_STRIKE_LIMIT: u32 = 3;
+
+/// Rounds spent on the hot-page rung after a watchdog or drift escalation.
+const WATCHDOG_FALLBACK_SPAN: u32 = 2;
+
+/// DRAM bytes the policy may plan and claim: the physical capacity, not
+/// the nameplate (quarantined frames and offlined regions are gone), less
+/// the [`DRAM_RESERVE`] headroom.
+fn planning_capacity(sys: &HmSystem) -> u64 {
+    (sys.physical_dram_capacity() as f64 * (1.0 - DRAM_RESERVE)) as u64
+}
+
 /// Look up a per-object hint by exact name, by the stem before the first
 /// `_`, or by the stem with a trailing task index removed (`fields0` →
 /// `fields`) — the same resolution rule as the pattern map.
@@ -114,8 +131,6 @@ pub struct MerchandiserPolicy {
     pub pattern_map: ObjectPatternMap,
     /// Statically-known blocking-reuse hints per object name.
     pub reuse_hints: BTreeMap<String, f64>,
-    /// Fraction of DRAM withheld from Algorithm 1 (page-cache headroom).
-    pub dram_reserve: f64,
     /// Algorithm 1 step size (the paper's 5 %).
     pub step: f64,
     /// Multiplicative noise applied to base-input profiling, modelling the
@@ -127,11 +142,6 @@ pub struct MerchandiserPolicy {
     pub migration_horizon: f64,
     /// Enable online α refinement (§4). Disabled only by the ablation study.
     pub refine_alpha: bool,
-    /// Straggler strikes a task may accumulate before the watchdog stops
-    /// emergency re-planning and escalates to the degradation ladder.
-    pub watchdog_strike_limit: u32,
-    /// Rounds spent on the hot-page rung after a watchdog escalation.
-    pub watchdog_fallback_span: u32,
     /// Most recent Algorithm 1 plan (inspection / tests).
     pub last_plan: Option<AllocatorPlan>,
     /// Per-round predicted task times (round index, ns per task) — used to
@@ -182,13 +192,10 @@ impl MerchandiserPolicy {
             model,
             pattern_map,
             reuse_hints,
-            dram_reserve: 0.05,
             step: 0.05,
             profiling_noise: 0.08,
             migration_horizon: 5.0,
             refine_alpha: true,
-            watchdog_strike_limit: 3,
-            watchdog_fallback_span: 2,
             last_plan: None,
             prediction_log: Vec::new(),
             last_prediction_wall_ns: 0.0,
@@ -482,10 +489,7 @@ impl MerchandiserPolicy {
         let model = Self::ensure_compiled(&self.model, &mut self.compiled);
         let input = AllocatorInput {
             tasks,
-            // Physical capacity, not nameplate: quarantined frames and
-            // offlined regions are gone, so the plan must not budget them.
-            dram_capacity: ((sys.physical_dram_capacity() as f64) * (1.0 - self.dram_reserve))
-                as u64,
+            dram_capacity: planning_capacity(sys),
             model,
             step: self.step,
         };
@@ -513,7 +517,7 @@ impl MerchandiserPolicy {
         use merch_hm::page::PAGE_SIZE;
         let mut claimed: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
         let mut claimed_bytes = 0u64;
-        let capacity = ((sys.physical_dram_capacity() as f64) * (1.0 - self.dram_reserve)) as u64;
+        let capacity = planning_capacity(sys);
 
         // Each task's DC_i quota splits proportionally between its private
         // data and its share of the shared objects. Shared quotas pool —
@@ -652,7 +656,7 @@ impl MerchandiserPolicy {
     /// bottom rung of the degradation ladder when task profiles are missing
     /// or stale.
     fn hot_page_fallback(&self, sys: &mut HmSystem) {
-        let capacity = ((sys.physical_dram_capacity() as f64) * (1.0 - self.dram_reserve)) as u64;
+        let capacity = planning_capacity(sys);
         let pages: Vec<(u64, f64)> = sys
             .page_table()
             .iter()
@@ -1107,7 +1111,7 @@ impl PlacementPolicy for MerchandiserPolicy {
                         // the straggler watchdog's escalation. The ladder
                         // steps back up once the sentinel confirms enough
                         // clean planned rounds.
-                        self.watchdog_fallback_rounds = self.watchdog_fallback_span;
+                        self.watchdog_fallback_rounds = WATCHDOG_FALLBACK_SPAN;
                     }
                     if verdict.trip_edge {
                         verdict.drifting_tasks.iter().copied().collect()
@@ -1291,12 +1295,12 @@ impl PlacementPolicy for MerchandiserPolicy {
         use merch_hm::page::PAGE_SIZE;
         let strikes = self.watchdog_strikes.entry(task).or_insert(0);
         *strikes += 1;
-        if *strikes >= self.watchdog_strike_limit {
+        if *strikes >= WATCHDOG_STRIKE_LIMIT {
             // Hysteresis: a task that keeps overrunning has a stale profile
             // — stop thrashing on emergency migrations and escalate to the
             // degradation ladder for the next rounds.
             *strikes = 0;
-            self.watchdog_fallback_rounds = self.watchdog_fallback_span;
+            self.watchdog_fallback_rounds = WATCHDOG_FALLBACK_SPAN;
             return false;
         }
         if task >= self.state.len() {
@@ -1668,7 +1672,7 @@ mod tests {
 
     /// Satellite: the §8 ladder's step-UP path. After a watchdog
     /// escalation the policy rides the hot-page rung for exactly
-    /// `watchdog_fallback_span` rounds, then steps back up to full
+    /// `WATCHDOG_FALLBACK_SPAN` rounds, then steps back up to full
     /// planning on its own once the fallback expires.
     #[test]
     fn watchdog_escalation_steps_ladder_down_then_back_up() {
@@ -1687,12 +1691,9 @@ mod tests {
             let _ = ex.policy.on_straggler(&mut ex.sys, 1, 0, 2.0, 1.0);
         }
         assert!(!ex.policy.on_straggler(&mut ex.sys, 1, 0, 2.0, 1.0));
-        assert_eq!(
-            ex.policy.watchdog_fallback_rounds,
-            ex.policy.watchdog_fallback_span
-        );
-        // The next `watchdog_fallback_span` rounds ride the hot-page rung…
-        for _ in 0..ex.policy.watchdog_fallback_span {
+        assert_eq!(ex.policy.watchdog_fallback_rounds, WATCHDOG_FALLBACK_SPAN);
+        // The next `WATCHDOG_FALLBACK_SPAN` rounds ride the hot-page rung…
+        for _ in 0..WATCHDOG_FALLBACK_SPAN {
             let degraded = ex.step().unwrap().unwrap().degraded;
             assert!(degraded, "fallback rounds must be flagged degraded");
         }

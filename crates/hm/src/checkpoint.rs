@@ -77,7 +77,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 
 /// A decode failure with context.
 pub fn corrupt(msg: &str) -> HmError {
-    HmError::CheckpointCorrupt(msg.to_string())
+    HmError::CheckpointCorrupt(format!("checkpoint: {msg}"))
 }
 
 /// Infallible formatted writes into a `String` payload: every text encoder
@@ -487,8 +487,8 @@ impl Checkpoint {
         let mut r = Reader::new(text);
         let version: u32 = r.line("merchckpt")?.next("version")?;
         if version != CHECKPOINT_VERSION {
-            return Err(HmError::CheckpointCorrupt(format!(
-                "unsupported checkpoint version {version} (this build reads {CHECKPOINT_VERSION})"
+            return Err(corrupt(&format!(
+                "unsupported version {version} (this build reads {CHECKPOINT_VERSION})"
             )));
         }
         let mut c = r.line("cursor")?;

@@ -13,8 +13,7 @@
 //! * [`config`] — tier parameters and the calibrated defaults;
 //! * [`object`]/[`page`] — data objects and the extent page table: 4 KiB
 //!   pages with access weights and counters (the emulated PTE accessed
-//!   bits) stored as contiguous same-state runs, sharded by page range so
-//!   round phases parallelise with deterministic merges;
+//!   bits) stored as contiguous same-state runs in one run store;
 //! * [`system`] — [`system::HmSystem`]: allocation, placement, migration
 //!   with capacity management, page-level profiling state;
 //! * [`trace`] — phase-level access summaries emitted by workloads and the

@@ -14,16 +14,16 @@
 //! migrations split and re-merge runs instead of writing every page, and
 //! whole-table sweeps (record, age, reset) cost O(runs), not O(pages).
 //!
-//! The run space is sharded by page range ([`SHARD_PAGES`] pages per
-//! shard; runs never cross a shard boundary), which bounds every run-list
-//! walk and the `u16` node length. Every phase is sequential: it visits
-//! shards in ascending order and folds their partial results in that
-//! order.
+//! All runs live in one store: an index-linked arena whose live chain
+//! lists them in page order. The page space is cut into [`SHARD_PAGES`]
+//! blocks that are not a storage unit but a boundary: no run crosses one
+//! (which bounds the `u16` node length), and weighted streak sums break
+//! at each one.
 //!
 //! Weighted sums follow one fixed *streak* specification everywhere (see
-//! [`PageTable::scan_weight_sums`]): within each shard, maximal
+//! [`PageTable::scan_weight_sums`]): within each block, maximal
 //! (weight-bits, tier)-equal streaks contribute `weight * streak_len`, and
-//! per-shard partial sums fold in shard order. The per-page [`RefTable`]
+//! per-block partial sums fold in block order. The per-page [`RefTable`]
 //! oracle implements the identical spec, so extent-engine outputs can be
 //! compared bitwise against a straightforward per-page model in tests.
 
@@ -41,9 +41,9 @@ pub const PAGE_SIZE: u64 = 4096;
 /// Pages per 2 MiB huge region (Thermostat samples one 4 KiB page per 2 MiB).
 pub const PAGES_PER_HUGE_REGION: u64 = (2 << 20) / PAGE_SIZE;
 
-/// Pages per extent shard. Runs never cross a shard boundary and weighted
-/// streak sums break here. 2^16 pages = 256 MiB of address space per
-/// shard; every table the workloads build fits in one shard.
+/// Pages per run-length block: no run crosses a multiple of this, and
+/// weighted streak sums break and fold here. 2^16 pages = 256 MiB of
+/// address space; every table the workloads build fits in one block.
 pub const SHARD_PAGES: u64 = 1 << 16;
 
 /// Global page identifier.
@@ -122,8 +122,8 @@ impl PageInfo {
 
 /// One extent: `len` contiguous pages starting at `start` whose full state
 /// is bitwise identical. Runs are maximal (always coalesced) within their
-/// shard, which makes the table representation — and therefore its derived
-/// `Debug` output — canonical for a given page-level state.
+/// [`SHARD_PAGES`] block, which makes the table representation — and
+/// therefore its `Debug` output — canonical for a given page-level state.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct Run {
     /// First page of the run.
@@ -145,11 +145,11 @@ impl Run {
 const NIL: u32 = u32::MAX;
 
 /// One arena node: a run's full page state plus its intrusive `next` link.
-/// Run *starts* are implicit — traversal accumulates lengths from the
-/// shard's base page — which packs a node into 32 bytes. At the
-/// fragmentation-adversarial limit (one run per page) a 1e9-page table
-/// costs ~32 GB of run store, where boxed `Vec<Run>` shards (48-byte runs
-/// plus growth slack) would not fit the machine.
+/// Run *starts* are implicit — traversal accumulates lengths from page 0
+/// — which packs a node into 32 bytes. At the fragmentation-adversarial
+/// limit (one run per page) a 1e9-page table costs ~32 GB of run store,
+/// where a `Vec<Run>` (48-byte runs plus growth slack) would not fit the
+/// machine.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 struct RunNode {
     /// Fraction of the object's accesses landing on each page of the run.
@@ -160,8 +160,8 @@ struct RunNode {
     object: u32,
     /// Lifetime migration count.
     migrations: u32,
-    /// Next run of the shard in page order (live nodes) or next free node
-    /// (free-listed nodes); `NIL` terminates both chains.
+    /// Next run in page order (live nodes) or next free node (free-listed
+    /// nodes); `NIL` terminates both chains.
     next: u32,
     /// Run length minus one (1..=`SHARD_PAGES` pages, exactly a u16).
     len_m1: u16,
@@ -215,16 +215,14 @@ impl RunNode {
     }
 }
 
-/// One shard: the runs covering `[base, base + SHARD_PAGES)`, stored in a
-/// compact index-linked arena. Live runs form a singly-linked chain from
-/// `head` in page order; reclaimed nodes form a free list that is reused
+/// The run store: every run of the table in one compact index-linked
+/// arena. Live runs form a singly-linked chain from `head` in page order,
+/// covering `0..used`; reclaimed nodes form a free list that is reused
 /// before the backing vector grows, so steady-state rebuild phases
 /// allocate nothing.
 #[derive(Clone, Serialize, Deserialize)]
-struct Shard {
-    /// First page id of the shard's range.
-    base: PageId,
-    /// First live run, or `NIL` when the shard is empty.
+struct RunStore {
+    /// First live run, or `NIL` when the table is empty.
     head: u32,
     /// Last live run (append coalescing), or `NIL`.
     tail: u32,
@@ -232,40 +230,49 @@ struct Shard {
     free: u32,
     /// Live run count.
     live: u32,
-    /// Pages covered by live runs (the append cursor within the shard).
+    /// Pages covered by live runs (the append cursor).
     used: u64,
     /// Node arena.
     nodes: Vec<RunNode>,
 }
 
-impl std::fmt::Debug for Shard {
-    /// Canonical logical view. Node order, free-listed garbage, and vector
-    /// capacity are representation details that differ between op
-    /// histories; every bitwise table comparison in the workspace goes
-    /// through `{:?}`, so only the (always-coalesced, therefore canonical)
-    /// run content may appear — in the exact shape the pre-arena
-    /// `Vec<Run>` shard derived.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Shard")
-            .field("runs", &self.runs_vec())
-            .finish()
+impl Default for RunStore {
+    fn default() -> Self {
+        Self {
+            head: NIL,
+            tail: NIL,
+            free: NIL,
+            live: 0,
+            used: 0,
+            nodes: Vec::new(),
+        }
     }
 }
 
-/// Iterator over a shard's live runs, reconstructing absolute starts.
-struct ShardRuns<'a> {
-    sh: &'a Shard,
+impl std::fmt::Debug for RunStore {
+    /// Canonical logical view: the run list. Node order, free-listed
+    /// garbage and vector capacity differ between op histories; every
+    /// bitwise table comparison in the workspace goes through `{:?}`, so
+    /// only the (always-coalesced, therefore canonical) runs may appear.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// Iterator over the store's live runs, reconstructing absolute starts.
+struct RunIter<'a> {
+    store: &'a RunStore,
     cur: u32,
     start: PageId,
 }
 
-impl Iterator for ShardRuns<'_> {
+impl Iterator for RunIter<'_> {
     type Item = Run;
     fn next(&mut self) -> Option<Run> {
         if self.cur == NIL {
             return None;
         }
-        let n = &self.sh.nodes[self.cur as usize];
+        let n = &self.store.nodes[self.cur as usize];
         let run = Run {
             start: self.start,
             len: n.len(),
@@ -277,19 +284,7 @@ impl Iterator for ShardRuns<'_> {
     }
 }
 
-impl Shard {
-    fn new(base: PageId) -> Self {
-        Self {
-            base,
-            head: NIL,
-            tail: NIL,
-            free: NIL,
-            live: 0,
-            used: 0,
-            nodes: Vec::new(),
-        }
-    }
-
+impl RunStore {
     fn alloc(&mut self, node: RunNode) -> u32 {
         if self.free != NIL {
             let i = self.free;
@@ -297,6 +292,7 @@ impl Shard {
             self.nodes[i as usize] = node;
             i
         } else {
+            assert!(self.nodes.len() < NIL as usize, "run arena full");
             self.nodes.push(node);
             (self.nodes.len() - 1) as u32
         }
@@ -307,17 +303,22 @@ impl Shard {
         self.free = i;
     }
 
-    /// Append `len` pages of `info` at the shard's current end, coalescing
-    /// into the tail run when the state matches. All appends — allocation,
-    /// checkpoint restore, and chain rebuilds — are contiguous in page
-    /// order, so tail coalescing is exactly the old `push_run` relation.
+    /// Append `len` pages of `info` at the current end, coalesced into
+    /// the tail run when the state matches and the tail does not end on a
+    /// [`SHARD_PAGES`] boundary. The segment must be non-empty and end in
+    /// the current block: allocation appends one page at a time and chain
+    /// rebuilds re-push pieces of runs that already respect the
+    /// boundaries, so only [`push_split`](Self::push_split) has to cut.
+    /// All appends are contiguous in page order, so this one relation
+    /// keeps the runs canonical.
     fn push_seg(&mut self, len: u64, info: &PageInfo) {
-        if len == 0 {
-            return;
-        }
-        debug_assert!(self.used + len <= SHARD_PAGES, "segment crosses shard");
+        let offset = self.used % SHARD_PAGES;
+        debug_assert!(
+            len > 0 && offset + len <= SHARD_PAGES,
+            "segment crosses a block"
+        );
         self.used += len;
-        if self.tail != NIL {
+        if offset != 0 {
             let t = &mut self.nodes[self.tail as usize];
             if t.matches(info) {
                 t.len_m1 = (t.len() + len - 1) as u16;
@@ -334,42 +335,39 @@ impl Shard {
         self.live += 1;
     }
 
+    /// [`push_seg`](Self::push_seg) for a segment of any length (checkpoint
+    /// restore): one piece per block it covers.
+    fn push_split(&mut self, mut len: u64, info: &PageInfo) {
+        while len > 0 {
+            let seg = len.min(SHARD_PAGES - self.used % SHARD_PAGES);
+            self.push_seg(seg, info);
+            len -= seg;
+        }
+    }
+
     /// Iterate live runs in page order.
-    fn iter(&self) -> ShardRuns<'_> {
-        ShardRuns {
-            sh: self,
+    fn iter(&self) -> RunIter<'_> {
+        RunIter {
+            store: self,
             cur: self.head,
-            start: self.base,
+            start: 0,
         }
     }
 
-    /// Materialized run list (canonical `Debug` rendering).
-    fn runs_vec(&self) -> Vec<Run> {
-        self.iter().collect()
-    }
-
-    /// Shard-local page lookup: O(runs in shard) chain walk (the arena
-    /// trades the old binary search for 32-byte nodes; no hot path does
-    /// per-page lookups).
-    fn get(&self, id: PageId) -> PageInfo {
-        for r in self.iter() {
-            if id < r.end() {
-                debug_assert!(id >= r.start);
-                return r.info;
-            }
+    /// Rebuild the live chain, passing every run segment overlapping
+    /// `range` (its uniform state and page range) to `mid`, which pushes
+    /// the replacement pages; segments outside `range` pass through as
+    /// they were. Consumed nodes are released before the rebuilt segments
+    /// allocate, so the arena reuses them in place.
+    fn rebuild(
+        &mut self,
+        range: &Range<PageId>,
+        mut mid: impl FnMut(&mut Self, PageInfo, Range<PageId>),
+    ) {
+        if range.start >= range.end.min(self.used) {
+            return;
         }
-        panic!("page {id} beyond shard end");
-    }
-
-    /// Rebuild the live chain applying `f` to every run segment
-    /// overlapping `range` (extent split-apply-coalesce). `f` sees the
-    /// segment's (uniform) state and length; because every mutation the
-    /// engine performs depends only on the page's prior state, one
-    /// application per segment equals one application per page. Consumed
-    /// nodes are released before the rebuilt segments allocate, so the
-    /// arena reuses them in place.
-    fn apply(&mut self, range: &Range<PageId>, f: &mut dyn FnMut(&mut PageInfo, u64)) {
-        let (mut cur, mut start) = (self.head, self.base);
+        let (mut cur, mut start) = (self.head, 0);
         self.head = NIL;
         self.tail = NIL;
         self.live = 0;
@@ -387,77 +385,38 @@ impl Shard {
                 self.push_seg(r_len, &info);
                 continue;
             }
-            self.push_seg(lo - r_start, &info);
-            let mut mid = info;
-            f(&mut mid, hi - lo);
-            self.push_seg(hi - lo, &mid);
-            self.push_seg(r_start + r_len - hi, &info);
+            if lo > r_start {
+                self.push_seg(lo - r_start, &info);
+            }
+            mid(self, info, lo..hi);
+            if r_start + r_len > hi {
+                self.push_seg(r_start + r_len - hi, &info);
+            }
         }
     }
 
-    /// Per-page variant of [`Shard::apply`] for mutations that differ page
-    /// to page (weight reassignment). Segments outside `range` pass
-    /// through as whole runs; inside, `f` runs once per page.
-    fn apply_paged(&mut self, range: &Range<PageId>, f: &mut dyn FnMut(&mut PageInfo, PageId)) {
-        let (mut cur, mut start) = (self.head, self.base);
-        self.head = NIL;
-        self.tail = NIL;
-        self.live = 0;
-        self.used = 0;
-        while cur != NIL {
-            let node = self.nodes[cur as usize];
-            self.release(cur);
-            cur = node.next;
-            let (r_start, r_len) = (start, node.len());
-            start += r_len;
-            let info = node.info();
-            let lo = r_start.max(range.start);
-            let hi = (r_start + r_len).min(range.end);
-            if lo >= hi {
-                self.push_seg(r_len, &info);
-                continue;
-            }
-            self.push_seg(lo - r_start, &info);
-            for id in lo..hi {
+    /// Split-apply-coalesce over every run segment in `range`: `f` sees
+    /// the segment's (uniform) state and length. Because every mutation
+    /// the engine performs depends only on the page's prior state, one
+    /// application per segment equals one application per page.
+    fn apply(&mut self, range: &Range<PageId>, mut f: impl FnMut(&mut PageInfo, u64)) {
+        self.rebuild(range, |s, mut info, seg| {
+            f(&mut info, seg.end - seg.start);
+            s.push_seg(seg.end - seg.start, &info);
+        });
+    }
+
+    /// Per-page variant of [`RunStore::apply`] for mutations that differ
+    /// page to page (weight reassignment): inside `range`, `f` runs once
+    /// per page.
+    fn apply_paged(&mut self, range: &Range<PageId>, mut f: impl FnMut(&mut PageInfo, PageId)) {
+        self.rebuild(range, |s, info, seg| {
+            for id in seg {
                 let mut m = info;
                 f(&mut m, id);
-                self.push_seg(1, &m);
+                s.push_seg(1, &m);
             }
-            self.push_seg(r_start + r_len - hi, &info);
-        }
-    }
-
-    /// Streak-spec weighted sums over this shard's runs clipped to
-    /// `range`: maximal (weight-bits, tier)-equal streaks contribute
-    /// `w * len`, folded in run order. Returns `(total, in_[tier])`.
-    fn weight_sums(&self, range: &Range<PageId>) -> (f64, [f64; 2]) {
-        let mut total = 0.0;
-        let mut in_ = [0.0; 2];
-        let mut cur: Option<(u64, Tier, u64)> = None; // (weight bits, tier, pages)
-        let flush = |cur: &mut Option<(u64, Tier, u64)>, total: &mut f64, in_: &mut [f64; 2]| {
-            if let Some((wb, t, l)) = cur.take() {
-                let c = f64::from_bits(wb) * l as f64;
-                *total += c;
-                in_[tier_idx(t)] += c;
-            }
-        };
-        for r in self.iter() {
-            let lo = r.start.max(range.start);
-            let hi = r.end().min(range.end);
-            if lo >= hi {
-                continue;
-            }
-            let key = (r.info.weight.to_bits(), r.info.tier);
-            match &mut cur {
-                Some((wb, t, l)) if *wb == key.0 && *t == key.1 => *l += hi - lo,
-                _ => {
-                    flush(&mut cur, &mut total, &mut in_);
-                    cur = Some((key.0, key.1, hi - lo));
-                }
-            }
-        }
-        flush(&mut cur, &mut total, &mut in_);
-        (total, in_)
+        });
     }
 }
 
@@ -480,13 +439,12 @@ struct ObjAgg {
     dirty: bool,
 }
 
-/// The emulated page table: sharded run-length extents plus incremental
+/// The emulated page table: one run-length extent store plus incremental
 /// tier accounting.
 #[derive(Debug, Default, Clone, Serialize, Deserialize)]
 pub struct PageTable {
-    shards: Vec<Shard>,
-    /// Total mapped pages.
-    num_pages: u64,
+    /// Every run, in page order; its `used` cursor is the page count.
+    store: RunStore,
     /// Pages resident per tier (indexed by `tier_idx`). Exact integers,
     /// updated eagerly on every tier change — `bytes_in` never scans.
     tier_pages: [u64; 2],
@@ -509,47 +467,21 @@ pub struct PageTable {
     quarantine: BTreeSet<PageId>,
 }
 
-fn shard_of(id: PageId) -> usize {
-    (id / SHARD_PAGES) as usize
-}
-
 impl PageTable {
     /// Number of pages.
     pub fn len(&self) -> usize {
-        self.num_pages as usize
+        self.store.used as usize
     }
 
     /// True when no pages are mapped.
     pub fn is_empty(&self) -> bool {
-        self.num_pages == 0
+        self.store.used == 0
     }
 
     /// Number of extents currently in the table (fragmentation gauge;
-    /// 1 run per object per shard when fully coalesced).
+    /// 1 run per object per [`SHARD_PAGES`] block when fully coalesced).
     pub fn num_extents(&self) -> usize {
-        self.shards.iter().map(|s| s.live as usize).sum()
-    }
-
-    /// Inclusive shard span of a non-empty range, clamped to the table.
-    fn shard_span(&self, range: &Range<PageId>) -> Option<(usize, usize)> {
-        if range.start >= range.end || self.shards.is_empty() {
-            return None;
-        }
-        let s0 = shard_of(range.start).min(self.shards.len() - 1);
-        let s1 = shard_of(range.end - 1).min(self.shards.len() - 1);
-        Some((s0, s1))
-    }
-
-    /// Append one page with arbitrary state, coalescing with the shard's
-    /// last run when possible.
-    fn append_page(&mut self, info: PageInfo) {
-        let id = self.num_pages;
-        let si = shard_of(id);
-        if si == self.shards.len() {
-            self.shards.push(Shard::new(si as u64 * SHARD_PAGES));
-        }
-        self.shards[si].push_seg(1, &info);
-        self.num_pages += 1;
+        self.store.live as usize
     }
 
     fn push_object_agg(&mut self, object: ObjectId, first: PageId, num_pages: u64) {
@@ -574,55 +506,21 @@ impl PageTable {
         tier: Tier,
         weights: impl IntoIterator<Item = f64>,
     ) -> PageId {
-        let first = self.num_pages;
+        let first = self.store.used;
         for w in weights {
-            self.append_page(PageInfo {
-                object,
-                tier,
-                weight: w,
-                accessed: false,
-                access_count: 0.0,
-                migrations: 0,
-            });
+            self.store.push_seg(
+                1,
+                &PageInfo {
+                    object,
+                    tier,
+                    weight: w,
+                    accessed: false,
+                    access_count: 0.0,
+                    migrations: 0,
+                },
+            );
         }
-        let num_pages = self.num_pages - first;
-        self.tier_pages[tier_idx(tier)] += num_pages;
-        self.push_object_agg(object, first, num_pages);
-        first
-    }
-
-    /// Append `num_pages` uniform-weight pages for a new object without
-    /// materializing a per-page weight vector: O(num_pages / SHARD_PAGES)
-    /// runs. State-identical to `extend_for_object` with a repeated
-    /// `weight` — the fast path `allocate` takes for unskewed objects.
-    pub fn extend_uniform_for_object(
-        &mut self,
-        object: ObjectId,
-        tier: Tier,
-        num_pages: u64,
-        weight: f64,
-    ) -> PageId {
-        let first = self.num_pages;
-        let info = PageInfo {
-            object,
-            tier,
-            weight,
-            accessed: false,
-            access_count: 0.0,
-            migrations: 0,
-        };
-        let end = first + num_pages;
-        let mut id = first;
-        while id < end {
-            let si = shard_of(id);
-            if si == self.shards.len() {
-                self.shards.push(Shard::new(si as u64 * SHARD_PAGES));
-            }
-            let len = ((si as u64 + 1) * SHARD_PAGES).min(end) - id;
-            self.shards[si].push_seg(len, &info);
-            id += len;
-        }
-        self.num_pages = end;
+        let num_pages = self.store.used - first;
         self.tier_pages[tier_idx(tier)] += num_pages;
         self.push_object_agg(object, first, num_pages);
         first
@@ -634,7 +532,7 @@ impl PageTable {
     /// Call [`flush_aggregates`](Self::flush_aggregates) once after the
     /// last run so whole-object queries regain their O(1) path.
     pub fn push_raw_run(&mut self, len: u64, info: PageInfo) {
-        let first = self.num_pages;
+        let first = self.store.used;
         self.tier_pages[tier_idx(info.tier)] += len;
         let oi = info.object.0 as usize;
         if oi == self.aggs.len() {
@@ -653,25 +551,17 @@ impl PageTable {
         } else if len > 0 {
             self.irregular = true;
         }
-        let end = first + len;
-        let mut id = first;
-        while id < end {
-            let si = shard_of(id);
-            if si == self.shards.len() {
-                self.shards.push(Shard::new(si as u64 * SHARD_PAGES));
-            }
-            let seg = ((si as u64 + 1) * SHARD_PAGES).min(end) - id;
-            self.shards[si].push_seg(seg, &info);
-            id += seg;
-        }
-        self.num_pages = end;
+        self.store.push_split(len, &info);
     }
 
     /// Page state by value (`PageInfo` is `Copy`; mutation goes through
-    /// the targeted mutators so runs and counters stay consistent).
+    /// the targeted mutators so runs and counters stay consistent). An
+    /// O(runs) chain walk: no hot path does per-page lookups.
     pub fn get(&self, id: PageId) -> PageInfo {
-        assert!(id < self.num_pages, "page {id} out of bounds");
-        self.shards[shard_of(id)].get(id)
+        match self.runs().find(|r| id < r.end()) {
+            Some(r) => r.info,
+            None => panic!("page {id} out of bounds"),
+        }
     }
 
     /// Iterate over `(PageId, PageInfo)` by value, in page order.
@@ -682,15 +572,15 @@ impl PageTable {
 
     /// Iterate all runs in page order.
     pub fn runs(&self) -> impl Iterator<Item = Run> + '_ {
-        self.shards.iter().flat_map(|s| s.iter())
+        self.store.iter()
     }
 
     /// Iterate runs clipped to `range`, in page order.
     pub fn runs_in(&self, range: Range<PageId>) -> impl Iterator<Item = Run> + '_ {
-        let (s0, s1) = self.shard_span(&range).map_or((0, 0), |(a, b)| (a, b + 1));
-        self.shards[s0..s1].iter().flat_map(move |sh| {
-            let (start, end) = (range.start, range.end);
-            sh.iter().filter_map(move |r| {
+        let (start, end) = (range.start, range.end);
+        self.runs()
+            .skip_while(move |r| r.end() <= start)
+            .map_while(move |r| {
                 let lo = r.start.max(start);
                 let hi = r.end().min(end);
                 (lo < hi).then(|| Run {
@@ -699,7 +589,6 @@ impl PageTable {
                     info: r.info,
                 })
             })
-        })
     }
 
     /// `idx`-th page (ascending id order) currently resident in `tier` —
@@ -722,16 +611,6 @@ impl PageTable {
         self.tier_pages[tier_idx(tier)]
     }
 
-    /// Sequential split-apply-coalesce over every run segment in `range`.
-    fn apply(&mut self, range: Range<PageId>, mut f: impl FnMut(&mut PageInfo, u64)) {
-        let Some((s0, s1)) = self.shard_span(&range) else {
-            return;
-        };
-        for si in s0..=s1 {
-            self.shards[si].apply(&range, &mut f);
-        }
-    }
-
     fn mark_dirty(&mut self, object: ObjectId) {
         match self.aggs.get_mut(object.0 as usize) {
             Some(a) if !a.dirty => {
@@ -747,7 +626,7 @@ impl PageTable {
     /// the owning object's aggregate for recomputation.
     pub fn set_tier(&mut self, id: PageId, to: Tier) {
         let mut changed: Option<(Tier, ObjectId)> = None;
-        self.apply(id..id + 1, |p, _| {
+        self.store.apply(&(id..id + 1), |p, _| {
             if p.tier != to {
                 changed = Some((p.tier, p.object));
                 p.tier = to;
@@ -761,31 +640,25 @@ impl PageTable {
     }
 
     /// Batch tier move: every page of `range` not already on `to` moves in
-    /// one extent split/merge sweep. Each shard's (tier-delta,
-    /// dirty-object) result is applied in shard order, so counters and
-    /// aggregates end up exactly as the equivalent per-page
+    /// one extent split/merge sweep. The tier delta and the moved objects
+    /// (in ascending id order) are applied after the sweep, so counters
+    /// and aggregates end up exactly as the equivalent per-page
     /// [`set_tier`](Self::set_tier) loop would leave them.
     pub fn set_tier_range(&mut self, range: Range<PageId>, to: Tier) {
-        let Some((s0, s1)) = self.shard_span(&range) else {
-            return;
-        };
-        for si in s0..=s1 {
-            let mut from_counts = [0u64; 2];
-            let mut objs = BTreeSet::new();
-            self.shards[si].apply(&range, &mut |p, len| {
-                if p.tier != to {
-                    from_counts[tier_idx(p.tier)] += len;
-                    objs.insert(p.object.0);
-                    p.tier = to;
-                }
-            });
-            let moved = from_counts[0] + from_counts[1];
-            self.tier_pages[0] -= from_counts[0];
-            self.tier_pages[1] -= from_counts[1];
-            self.tier_pages[tier_idx(to)] += moved;
-            for o in objs {
-                self.mark_dirty(ObjectId(o));
+        let mut from_counts = [0u64; 2];
+        let mut objs = BTreeSet::new();
+        self.store.apply(&range, |p, len| {
+            if p.tier != to {
+                from_counts[tier_idx(p.tier)] += len;
+                objs.insert(p.object.0);
+                p.tier = to;
             }
+        });
+        self.tier_pages[0] -= from_counts[0];
+        self.tier_pages[1] -= from_counts[1];
+        self.tier_pages[tier_idx(to)] += from_counts[0] + from_counts[1];
+        for o in objs {
+            self.mark_dirty(ObjectId(o));
         }
     }
 
@@ -793,7 +666,7 @@ impl PageTable {
     /// for recomputation.
     pub fn set_weight(&mut self, id: PageId, weight: f64) {
         let mut object = None;
-        self.apply(id..id + 1, |p, _| {
+        self.store.apply(&(id..id + 1), |p, _| {
             p.weight = weight;
             object = Some(p.object);
         });
@@ -804,19 +677,14 @@ impl PageTable {
 
     /// Overwrite the weights of `first..first + weights.len()` in one
     /// per-page sweep (weight reassignment) — equivalent to a
-    /// [`set_weight`](Self::set_weight) loop, one run rebuild per shard.
+    /// [`set_weight`](Self::set_weight) loop, one run rebuild in all.
     pub fn set_weights_range(&mut self, first: PageId, weights: &[f64]) {
         let range = first..first + weights.len() as u64;
         let mut objs = BTreeSet::new();
-        let Some((s0, s1)) = self.shard_span(&range) else {
-            return;
-        };
-        for si in s0..=s1 {
-            self.shards[si].apply_paged(&range, &mut |p, id| {
-                p.weight = weights[(id - first) as usize];
-                objs.insert(p.object.0);
-            });
-        }
+        self.store.apply_paged(&range, |p, id| {
+            p.weight = weights[(id - first) as usize];
+            objs.insert(p.object.0);
+        });
         for o in objs {
             self.mark_dirty(ObjectId(o));
         }
@@ -824,7 +692,7 @@ impl PageTable {
 
     /// Clear page `id`'s profiling state (PTE-scan reset).
     pub fn reset_page_profiling(&mut self, id: PageId) {
-        self.apply(id..id + 1, |p, _| {
+        self.store.apply(&(id..id + 1), |p, _| {
             p.accessed = false;
             p.access_count = 0.0;
         });
@@ -833,7 +701,7 @@ impl PageTable {
     /// Read-and-clear the accessed bit (DAMON / AutoNUMA sampling).
     pub fn take_accessed(&mut self, id: PageId) -> bool {
         let mut was = false;
-        self.apply(id..id + 1, |p, _| {
+        self.store.apply(&(id..id + 1), |p, _| {
             was = p.accessed;
             p.accessed = false;
         });
@@ -842,33 +710,36 @@ impl PageTable {
 
     /// Overwrite page `id`'s access counter (profiler estimates).
     pub fn set_access_count(&mut self, id: PageId, count: f64) {
-        self.apply(id..id + 1, |p, _| p.access_count = count);
+        self.store
+            .apply(&(id..id + 1), |p, _| p.access_count = count);
     }
 
     /// Restore page `id`'s migration counter (epoch rollback).
     pub fn set_migrations(&mut self, id: PageId, migrations: u32) {
-        self.apply(id..id + 1, |p, _| p.migrations = migrations);
+        self.store
+            .apply(&(id..id + 1), |p, _| p.migrations = migrations);
     }
 
     /// Increment page `id`'s migration counter (poison remap accounting).
     pub fn bump_migrations(&mut self, id: PageId) {
-        self.apply(id..id + 1, |p, _| p.migrations += 1);
+        self.store.apply(&(id..id + 1), |p, _| p.migrations += 1);
     }
 
     /// Increment the migration counter of every page in `range`
     /// (batch-migration bookkeeping).
     pub fn bump_migrations_range(&mut self, range: Range<PageId>) {
-        self.apply(range, |p, _| p.migrations += 1);
+        self.store.apply(&range, |p, _| p.migrations += 1);
     }
 
     /// Scale every access counter by `factor` (aging sweep). O(runs).
     pub fn age_access_counts(&mut self, factor: f64) {
-        self.apply(0..self.num_pages, |p, _| p.access_count *= factor);
+        self.store
+            .apply(&(0..self.store.used), |p, _| p.access_count *= factor);
     }
 
     /// Clear every accessed bit and counter (start-of-interval reset).
     pub fn reset_profiling_counters(&mut self) {
-        self.apply(0..self.num_pages, |p, _| {
+        self.store.apply(&(0..self.store.used), |p, _| {
             p.accessed = false;
             p.access_count = 0.0;
         });
@@ -881,7 +752,7 @@ impl PageTable {
     /// have its PTE bit set every round on real hardware. Each run is
     /// updated once (share depends only on weight).
     pub fn record_accesses(&mut self, range: Range<PageId>, accesses: f64) {
-        self.apply(range, |p, _| {
+        self.store.apply(&range, |p, _| {
             let share = accesses * p.weight;
             if share > 0.0 {
                 p.access_count += share;
@@ -892,25 +763,51 @@ impl PageTable {
         });
     }
 
-    /// Streak-spec weighted sums over `range`: per shard (ascending),
-    /// maximal (weight-bits, tier)-equal streaks contribute
-    /// `weight * streak_len`; per-shard partials fold in shard order. This
-    /// one specification defines every weighted sum in the engine — the
-    /// aggregates, the fraction queries, and the [`RefTable`] oracle all
-    /// produce bitwise-identical values, independent of run fragmentation
-    /// (streaks ignore object and run boundaries).
+    /// Streak-spec weighted sums over `range`: within each
+    /// [`SHARD_PAGES`] block, maximal (weight-bits, tier)-equal streaks
+    /// contribute `weight * streak_len` to the block's partial; the
+    /// partials fold in block order. This one specification defines every
+    /// weighted sum in the engine — the aggregates, the fraction queries,
+    /// and the [`RefTable`] oracle all produce bitwise-identical values,
+    /// independent of run fragmentation (streaks ignore object and run
+    /// boundaries).
     pub fn scan_weight_sums(&self, range: Range<PageId>) -> (f64, [f64; 2]) {
-        let Some((s0, s1)) = self.shard_span(&range) else {
-            return (0.0, [0.0; 2]);
+        type Sums = (f64, [f64; 2]);
+        // The open streak: (weight bits, tier, pages).
+        type Streak = Option<(u64, Tier, u64)>;
+        let flush = |streak: &mut Streak, part: &mut Sums| {
+            if let Some((wb, t, l)) = streak.take() {
+                let c = f64::from_bits(wb) * l as f64;
+                part.0 += c;
+                part.1[tier_idx(t)] += c;
+            }
         };
-        let mut total = 0.0;
-        let mut in_ = [0.0; 2];
-        for (t, i2) in self.shards[s0..=s1].iter().map(|sh| sh.weight_sums(&range)) {
-            total += t;
-            in_[0] += i2[0];
-            in_[1] += i2[1];
+        let fold = |part: &mut Sums, sums: &mut Sums| {
+            sums.0 += part.0;
+            sums.1[0] += part.1[0];
+            sums.1[1] += part.1[1];
+            *part = (0.0, [0.0; 2]);
+        };
+        let (mut sums, mut part) = ((0.0, [0.0; 2]), (0.0, [0.0; 2]));
+        let (mut streak, mut block): (Streak, u64) = (None, 0);
+        for r in self.runs_in(range) {
+            if r.start / SHARD_PAGES != block {
+                flush(&mut streak, &mut part);
+                fold(&mut part, &mut sums);
+                block = r.start / SHARD_PAGES;
+            }
+            let key = (r.info.weight.to_bits(), r.info.tier);
+            match &mut streak {
+                Some((wb, t, l)) if (*wb, *t) == key => *l += r.len,
+                _ => {
+                    flush(&mut streak, &mut part);
+                    streak = Some((key.0, key.1, r.len));
+                }
+            }
         }
-        (total, in_)
+        flush(&mut streak, &mut part);
+        fold(&mut part, &mut sums);
+        sums
     }
 
     /// Recompute every dirty object aggregate from its range. Batched
@@ -948,10 +845,10 @@ impl PageTable {
     /// same specification and therefore returns the bitwise-identical
     /// value.
     pub fn weighted_fraction_in(&self, range: Range<PageId>, tier: Tier) -> f64 {
-        if !self.irregular && range.start < range.end && range.start < self.num_pages {
+        if !self.irregular && range.start < range.end && range.start < self.store.used {
             // Regular layouts keep `aggs` sorted by `first_page`, so the
             // owning object comes from a binary search over the aggregates
-            // — O(log objects) instead of an O(runs-in-shard) chain walk.
+            // — O(log objects) instead of an O(runs) chain walk.
             let oi = self
                 .aggs
                 .partition_point(|a| a.first_page <= range.start)
@@ -986,7 +883,7 @@ impl PageTable {
     /// quarantined. Does not move the page — the system remaps it via
     /// [`set_tier`](Self::set_tier) and charges the repair cost.
     pub fn quarantine_page(&mut self, id: PageId) -> bool {
-        debug_assert!(id < self.num_pages);
+        debug_assert!(id < self.store.used);
         self.quarantine.insert(id)
     }
 
@@ -998,12 +895,6 @@ impl PageTable {
     /// Quarantined pages in ascending page-id order.
     pub fn quarantined(&self) -> impl Iterator<Item = PageId> + '_ {
         self.quarantine.iter().copied()
-    }
-
-    /// Any quarantined page inside `range`? Batch promotions use this to
-    /// decide whether a contiguous group needs per-page punch-outs.
-    pub fn quarantined_in(&self, range: Range<PageId>) -> bool {
-        self.quarantine.range(range.clone()).next().is_some()
     }
 
     /// Quarantined pages inside `range`, ascending (batch-promotion
@@ -1042,46 +933,44 @@ impl PageTable {
     }
 
     /// Debug-only structural verification: counters match a recount, runs
-    /// are sorted, in-shard, maximal (coalesced) and cover exactly
-    /// `0..len`. A no-op in release builds — this is the "O(pages)
-    /// verification scans stay off hot paths" contract.
+    /// are contiguous from page 0, inside one block, maximal (coalesced
+    /// up to block boundaries) and cover exactly `0..len`, and every arena
+    /// node is live or free. A no-op in release builds — this is the
+    /// "O(pages) verification scans stay off hot paths" contract.
     pub fn debug_verify(&self) {
         #[cfg(debug_assertions)]
         {
             for tier in [Tier::Dram, Tier::Pm] {
                 debug_assert_eq!(self.bytes_in(tier), self.recount_bytes_in(tier));
             }
-            let mut expect = 0u64;
-            for (si, sh) in self.shards.iter().enumerate() {
-                debug_assert_eq!(sh.base, si as u64 * SHARD_PAGES);
-                let mut prev: Option<Run> = None;
-                let mut live = 0u32;
-                for r in sh.iter() {
-                    debug_assert_eq!(r.start, expect, "gap before run");
-                    debug_assert!(r.len > 0);
-                    debug_assert_eq!(shard_of(r.start), si);
-                    debug_assert_eq!(shard_of(r.end() - 1), si, "run crosses shard");
-                    if let Some(p) = prev {
-                        debug_assert!(!p.info.bits_eq(&r.info), "uncoalesced neighbors");
-                    }
-                    expect = r.end();
-                    prev = Some(r);
-                    live += 1;
+            let s = &self.store;
+            let (mut expect, mut live) = (0u64, 0u32);
+            let mut prev: Option<Run> = None;
+            for r in s.iter() {
+                debug_assert_eq!(r.start, expect, "gap before run");
+                debug_assert!(r.len > 0);
+                debug_assert_eq!(
+                    r.start / SHARD_PAGES,
+                    (r.end() - 1) / SHARD_PAGES,
+                    "run crosses block"
+                );
+                if let Some(p) = prev.filter(|p| p.end() % SHARD_PAGES != 0) {
+                    debug_assert!(!p.info.bits_eq(&r.info), "uncoalesced neighbors");
                 }
-                debug_assert_eq!(live, sh.live, "live-run counter drift");
-                debug_assert_eq!(sh.used, expect - sh.base, "used-pages cursor drift");
-                // The arena never leaks: every node is either on the live
-                // chain or on the free list.
-                let mut free = 0usize;
-                let mut cur = sh.free;
-                while cur != NIL {
-                    free += 1;
-                    debug_assert!(free <= sh.nodes.len(), "free-list cycle");
-                    cur = sh.nodes[cur as usize].next;
-                }
-                debug_assert_eq!(live as usize + free, sh.nodes.len(), "leaked arena node");
+                expect = r.end();
+                prev = Some(r);
+                live += 1;
             }
-            debug_assert_eq!(expect, self.num_pages);
+            debug_assert_eq!(live, s.live, "live-run counter drift");
+            debug_assert_eq!(s.used, expect, "used-pages cursor drift");
+            let mut free = 0usize;
+            let mut cur = s.free;
+            while cur != NIL {
+                free += 1;
+                debug_assert!(free <= s.nodes.len(), "free-list cycle");
+                cur = s.nodes[cur as usize].next;
+            }
+            debug_assert_eq!(live as usize + free, s.nodes.len(), "leaked arena node");
         }
     }
 }
@@ -1198,7 +1087,7 @@ impl RefTable {
 
     /// The streak-spec weighted sums over the per-page vector: streaks of
     /// equal (weight-bits, tier) break at `SHARD_PAGES` boundaries and
-    /// contribute `w * len`, per-shard partials folding in shard order —
+    /// contribute `w * len`, per-block partials folding in block order —
     /// exactly [`PageTable::scan_weight_sums`], derived from pages instead
     /// of runs.
     pub fn scan_weight_sums(&self, range: Range<PageId>) -> (f64, [f64; 2]) {
@@ -1206,10 +1095,10 @@ impl RefTable {
         let mut in_ = [0.0; 2];
         let start = range.start.min(self.pages.len() as u64);
         let end = range.end.min(self.pages.len() as u64);
-        let mut shard = start / SHARD_PAGES;
-        while shard * SHARD_PAGES < end {
-            let lo = start.max(shard * SHARD_PAGES);
-            let hi = end.min((shard + 1) * SHARD_PAGES);
+        let mut block = start / SHARD_PAGES;
+        while block * SHARD_PAGES < end {
+            let lo = start.max(block * SHARD_PAGES);
+            let hi = end.min((block + 1) * SHARD_PAGES);
             let mut st = 0.0;
             let mut si2 = [0.0; 2];
             let mut cur: Option<(u64, Tier, u64)> = None;
@@ -1236,7 +1125,7 @@ impl RefTable {
             total += st;
             in_[0] += si2[0];
             in_[1] += si2[1];
-            shard += 1;
+            block += 1;
         }
         (total, in_)
     }
@@ -1428,7 +1317,11 @@ mod tests {
         assert_eq!(pt.quarantined().collect::<Vec<_>>(), vec![1, 2]);
         assert_eq!(pt.quarantined_count(), 2);
         assert_eq!(pt.quarantine_bytes(), 2 * PAGE_SIZE);
-        assert!(pt.quarantined_in(0..3) && !pt.quarantined_in(0..1));
+        assert_eq!(
+            pt.quarantined_in_range(0..3).collect::<Vec<_>>(),
+            vec![1, 2]
+        );
+        assert_eq!(pt.quarantined_in_range(0..1).count(), 0);
         // The set is part of the bitwise page-table fingerprint.
         let with = format!("{pt:?}");
         let mut clean = PageTable::default();
@@ -1459,17 +1352,6 @@ mod tests {
         pt.set_tier_range(3..5, Tier::Pm);
         assert_eq!(pt.num_extents(), 1);
         pt.debug_verify();
-    }
-
-    #[test]
-    fn extend_uniform_matches_vector_extend() {
-        let n = 1000u64;
-        let w = 1.0 / n as f64;
-        let mut a = PageTable::default();
-        a.extend_for_object(ObjectId(0), Tier::Pm, vec![w; n as usize]);
-        let mut b = PageTable::default();
-        b.extend_uniform_for_object(ObjectId(0), Tier::Pm, n, w);
-        assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 
     #[test]
@@ -1506,10 +1388,14 @@ mod tests {
     }
 
     #[test]
-    fn runs_never_cross_shard_boundaries_and_sums_match_the_spec() {
+    fn runs_never_cross_block_boundaries_and_sums_match_the_spec() {
         let n = SHARD_PAGES * 2 + 17;
         let mut pt = PageTable::default();
-        pt.extend_uniform_for_object(ObjectId(0), Tier::Pm, n, 1.0 / n as f64);
+        pt.extend_for_object(
+            ObjectId(0),
+            Tier::Pm,
+            std::iter::repeat_n(1.0 / n as f64, n as usize),
+        );
         assert_eq!(pt.num_extents(), 3);
         pt.set_tier_range(SHARD_PAGES - 5..SHARD_PAGES + 5, Tier::Dram);
         pt.debug_verify();

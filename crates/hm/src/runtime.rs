@@ -464,7 +464,7 @@ impl<W: Workload, P: PlacementPolicy + Sync> Executor<W, P> {
             breaker: _,
         } = checkpoint;
         if next_round != self.next_round {
-            return Err(crate::system::HmError::CheckpointCorrupt(format!(
+            return Err(crate::checkpoint::corrupt(&format!(
                 "in-place restore at round {} from a checkpoint at round {next_round}",
                 self.next_round
             )));

@@ -79,7 +79,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Mutex;
 
-use crate::checkpoint::BreakerFrame;
+use crate::checkpoint::{corrupt, BreakerFrame};
 use crate::runtime::{Executor, PlacementPolicy, RoundReport, RunReport};
 use crate::system::HmError;
 use crate::workload::Workload;
@@ -226,9 +226,7 @@ impl TenantJob for ParkedJob {
         String::new()
     }
     fn restore_text(&mut self, _text: &str) -> Result<BreakerFrame, HmError> {
-        Err(HmError::CheckpointCorrupt(
-            "parked tenant job restored".into(),
-        ))
+        Err(corrupt("parked tenant job restored"))
     }
 }
 
@@ -752,7 +750,7 @@ impl PlacementService {
             let restored = t
                 .trip_checkpoint
                 .take()
-                .ok_or_else(|| HmError::CheckpointCorrupt("missing trip checkpoint".into()))
+                .ok_or_else(|| corrupt("missing trip checkpoint"))
                 .and_then(|text| t.job.restore_text(&text));
             match restored {
                 Ok(frame) => {

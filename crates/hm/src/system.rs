@@ -44,8 +44,10 @@ pub enum HmError {
         /// Round the crash struck in.
         round: u64,
     },
-    /// A checkpoint record failed validation (bad header, checksum
-    /// mismatch, or malformed payload).
+    /// A text record failed validation (bad header, checksum mismatch, or
+    /// malformed payload). Every format on the shared reader — checkpoint,
+    /// WAL, model file, scenario file — raises this, and the message leads
+    /// with the format's name (`corrupt model line 1: …`).
     CheckpointCorrupt(String),
     /// Checkpoint I/O kept failing after exhausting its retry budget.
     CheckpointIo(String),
@@ -74,7 +76,7 @@ impl std::fmt::Display for HmError {
             HmError::Crashed { round } => {
                 write!(f, "scripted crash fired during round {round}")
             }
-            HmError::CheckpointCorrupt(msg) => write!(f, "corrupt checkpoint: {msg}"),
+            HmError::CheckpointCorrupt(msg) => write!(f, "corrupt {msg}"),
             HmError::CheckpointIo(msg) => write!(f, "checkpoint I/O failed: {msg}"),
         }
     }

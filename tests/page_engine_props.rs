@@ -9,8 +9,9 @@
 //! Two further disciplines guard the extent representation itself: the
 //! engine must stay bitwise-equal to the retained per-page [`RefTable`]
 //! model under random split/merge/poison interleavings, and it must stay
-//! so on a table spanning several shards, where runs break at every shard
-//! boundary and weighted sums fold per-shard partials in shard order.
+//! so on a table spanning several `SHARD_PAGES` blocks, where runs break at
+//! every block boundary and weighted sums fold per-block partials in block
+//! order.
 
 use std::ops::Range;
 
@@ -86,9 +87,9 @@ fn arb_op() -> impl Strategy<Value = Op> {
 }
 
 /// The engine's weighted-sum streak spec, replicated independently over
-/// per-page `get()` reads: within each shard, maximal streaks of pages
-/// sharing `(weight bits, tier)` contribute `weight * len` to shard-local
-/// partials, and the partials fold into the totals in shard order. This is
+/// per-page `get()` reads: within each block, maximal streaks of pages
+/// sharing `(weight bits, tier)` contribute `weight * len` to block-local
+/// partials, and the partials fold into the totals in block order. This is
 /// the *only* accumulation order the engine is allowed to produce,
 /// whatever the run layout or job count.
 fn scan_fraction(sys: &HmSystem, range: std::ops::Range<u64>, tier: Tier) -> f64 {
@@ -356,7 +357,7 @@ fn apply_top(pt: &mut PageTable, rt: &mut RefTable, op: &TOp, n_objs: &mut u32, 
             *n_objs += 1;
             if uniform {
                 let w = 1.0 / pages as f64;
-                pt.extend_uniform_for_object(obj, tier, pages, w);
+                pt.extend_for_object(obj, tier, std::iter::repeat_n(w, pages as usize));
                 rt.extend_for_object(obj, tier, std::iter::repeat_n(w, pages as usize));
             } else {
                 let ws = page_weights(pages, 1.3, wseed as u64);
@@ -438,21 +439,21 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1))]
 
-    /// Shard boundaries: the same operation sequence stretched over a
-    /// multi-shard table leaves the extent engine bitwise-equal to the
-    /// per-page model, with streak-spec weighted sums (per-shard partials
-    /// folded in shard order) bit-identical over the full range and a
-    /// partial one that starts and ends mid-shard.
+    /// Block boundaries: the same operation sequence stretched over a
+    /// table of several `SHARD_PAGES` blocks leaves the extent engine
+    /// bitwise-equal to the per-page model, with streak-spec weighted sums
+    /// (per-block partials folded in block order) bit-identical over the
+    /// full range and a partial one that starts and ends mid-block.
     #[test]
     fn multi_shard_table_matches_per_page_model(
         ops in proptest::collection::vec(arb_top(), 8..24),
         probe in any::<u32>(),
     ) {
-        // Two full shards plus a partial third.
+        // Two full blocks plus a partial third.
         const N: u64 = SHARD_PAGES * 2 + 123;
         // Stretch each op's u16-sized anchor and length (up to 89, so up
-        // to the whole table) over the multi-shard span so splits land in
-        // every shard and most ranges cross a shard boundary,
+        // to the whole table) over the three blocks so splits land in
+        // every block and most ranges cross a block boundary,
         // deterministically from the proptest inputs.
         let stretch = |len: u64, lo: u16, n: u16| {
             let lo = (lo as u64 * 48_271 + probe as u64) % len;
@@ -460,7 +461,7 @@ proptest! {
         };
         let mut pt = PageTable::default();
         let mut rt = RefTable::default();
-        pt.extend_uniform_for_object(ObjectId(0), Tier::Pm, N, 1.0 / N as f64);
+        pt.extend_for_object(ObjectId(0), Tier::Pm, std::iter::repeat_n(1.0 / N as f64, N as usize));
         rt.extend_for_object(ObjectId(0), Tier::Pm, std::iter::repeat_n(1.0 / N as f64, N as usize));
         let mut n_objs = 1;
         // Extends are skipped to keep the table at exactly N pages.
