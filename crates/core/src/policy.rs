@@ -1763,6 +1763,44 @@ mod tests {
         assert!(!s.tripped(), "sentinel must have recovered: {s:?}");
     }
 
+    /// Decision pin for the drift sentinel under its default tuning: the
+    /// burst workload with sustained PMC dropout trips it, steps the
+    /// ladder down, and the whole run report is hashed. A checkpoint taken
+    /// at the first boundary where the sentinel sits tripped resumes to
+    /// the identical report, so the serialized sentinel state is all the
+    /// decisions depend on.
+    #[test]
+    fn sentinel_decisions_are_pinned() {
+        use merch_hm::checkpoint::{fnv1a64, Checkpoint};
+        use merch_hm::FaultPlan;
+        const REPORT: u64 = 0xc23c_43e0_2166_cc44;
+        let system = || {
+            let mut sys = HmSystem::new(small_config(), 3);
+            sys.set_fault_plan(
+                FaultPlan::none()
+                    .with_seed(11)
+                    .with_sample_dropout(0.0, 0.5),
+            )
+            .unwrap();
+            sys
+        };
+        let policy = || MerchandiserPolicy::new(linear_model(), pattern_map(), BTreeMap::new(), 3);
+        let mut ex = Executor::new(system(), BurstTasks { rounds: 12 }, policy());
+        let mut tripped_at = None;
+        while ex.step().unwrap().is_some() {
+            if tripped_at.is_none() && ex.policy.sentinel.tripped() {
+                tripped_at = Some(ex.checkpoint().encode());
+            }
+        }
+        let run = format!("{:?}", ex.report());
+        let s = &ex.policy.sentinel;
+        assert!(s.ladder_steps_down >= 1, "{s:?}");
+        assert_eq!(fnv1a64(run.as_bytes()), REPORT, "{s:?}");
+        let ck = Checkpoint::decode(&tripped_at.expect("the sentinel trips")).unwrap();
+        let mut resumed = Executor::resume(ck, BurstTasks { rounds: 12 }, policy()).unwrap();
+        assert_eq!(format!("{:?}", resumed.run()), run);
+    }
+
     #[test]
     fn dram_capacity_respected() {
         let policy = MerchandiserPolicy::new(linear_model(), pattern_map(), BTreeMap::new(), 3);
