@@ -37,5 +37,5 @@ pub use estimator::{AccessEstimator, ObjectEstimate};
 pub use homog::HomogeneousPredictor;
 pub use perfmodel::PerformanceModel;
 pub use policy::MerchandiserPolicy;
-pub use sentinel::{DriftSentinel, SentinelConfig, SentinelVerdict, TaskSample};
+pub use sentinel::{DriftSentinel, SentinelVerdict, TaskSample};
 pub use training::{generate_code_samples, train_correlation_function, TrainingArtifacts};

@@ -150,9 +150,9 @@ pub struct MerchandiserPolicy {
     /// Wall-clock time of the last online prediction + planning pass —
     /// the §7.2 overhead figure (0.031 ms on the paper's machine).
     pub last_prediction_wall_ns: f64,
-    /// Drift sentinel: per-task/per-class EWMA of the prediction error
-    /// with a hysteresis band, driving sample quarantine, PMC
-    /// re-collection, α re-refinement and the degradation-ladder steps.
+    /// Drift sentinel: per-task EWMA of the prediction error with a
+    /// hysteresis band, driving sample quarantine, PMC re-collection, α
+    /// re-refinement and the degradation-ladder step-downs.
     pub sentinel: DriftSentinel,
     alpha_table: AlphaTable,
     state: Vec<TaskState>,
@@ -342,38 +342,6 @@ impl MerchandiserPolicy {
                 }
             })
             .collect();
-    }
-
-    /// Pattern class of task `i` for the sentinel's per-class EWMA: the
-    /// most drift-prone pattern family among the task's objects (random
-    /// and input-dependent stencils carry online-refined α, so their
-    /// predictions drift first).
-    fn task_class(&self, i: usize) -> &'static str {
-        fn rank(c: &str) -> u32 {
-            match c {
-                "random" => 4,
-                "stencil" => 3,
-                "strided" => 2,
-                "stream" => 1,
-                _ => 0,
-            }
-        }
-        let Some(ts) = self.state.get(i) else {
-            return "unknown";
-        };
-        let mut best = "unknown";
-        for e in ts.estimator.objects.values() {
-            let c = match e.pattern {
-                AccessPattern::Random => "random",
-                AccessPattern::Stencil { .. } => "stencil",
-                AccessPattern::Strided { .. } => "strided",
-                AccessPattern::Stream => "stream",
-            };
-            if rank(c) > rank(best) {
-                best = c;
-            }
-        }
-        best
     }
 
     /// Heal quarantined PMC profiles: re-collect the sentinel-flagged
@@ -914,7 +882,7 @@ impl PlacementPolicy for MerchandiserPolicy {
             self.degraded = true;
         }
         let t0 = Instant::now();
-        let (mut plan, _task_inputs) = self.plan(sys);
+        let (mut plan, task_inputs) = self.plan(sys);
         self.last_prediction_wall_ns = t0.elapsed().as_nanos() as f64;
 
         // Longest predicted tasks claim their pages first.
@@ -924,15 +892,16 @@ impl PlacementPolicy for MerchandiserPolicy {
 
         // Per-task quantities reused by every placement scoring below: the
         // per-object Equation 1 estimates and the homogeneous endpoint
-        // predictions depend only on the current sizes (just cached by
-        // plan()), not on the placement being scored — compute them once
-        // instead of once per scoring pass.
+        // predictions depend only on the current sizes, not on the
+        // placement being scored — compute them once instead of once per
+        // scoring pass. The endpoints are Algorithm 1's own inputs, so
+        // scoring and the logged deadlines see the same degraded curve.
         type TaskQuant = (Vec<(ObjectId, f64)>, f64, f64);
-        let scales = Self::degradation_scales(sys);
         let quants: Vec<TaskQuant> = self
             .state
             .iter()
-            .map(|ts| {
+            .zip(&task_inputs)
+            .map(|(ts, input)| {
                 let est: Vec<(ObjectId, f64)> = ts
                     .objects
                     .iter()
@@ -941,15 +910,7 @@ impl PlacementPolicy for MerchandiserPolicy {
                         Some((*oid, ts.estimator.estimate(name, size).unwrap_or(0.0)))
                     })
                     .collect();
-                let q = ts.quant.as_ref().expect("plan() fills the quant cache");
-                let (mut pm_only_ns, mut dram_only_ns) = (q.pm_only_ns, q.dram_only_ns);
-                // Scoring and the logged deadlines see the same degraded
-                // endpoints as Algorithm 1 above.
-                if let Some((pm_s, dram_s)) = scales {
-                    pm_only_ns *= pm_s;
-                    dram_only_ns *= dram_s;
-                }
-                (est, pm_only_ns, dram_only_ns)
+                (est, input.d_pm_only_ns, input.d_dram_only_ns)
             })
             .collect();
 
@@ -1062,64 +1023,55 @@ impl PlacementPolicy for MerchandiserPolicy {
         let quarantine: BTreeSet<usize> = if sys.degradation_shifted() {
             self.sentinel.note_hardware_shift();
             BTreeSet::new()
-        } else {
-            match self.prediction_log.last().filter(|(r, _)| *r == round) {
-                None => {
-                    // A fallback rung produced no prediction: freeze the
-                    // sentinel's streaks instead of feeding it stale data.
-                    self.sentinel.skip_round();
-                    BTreeSet::new()
-                }
-                Some((_, preds)) => {
-                    let samples: Vec<TaskSample<'_>> = report
-                        .tasks
-                        .iter()
-                        .filter_map(|t| {
-                            let predicted_ns = *preds.get(t.task)?;
-                            Some(TaskSample {
-                                task: t.task,
-                                class: self.task_class(t.task),
-                                predicted_ns,
-                                observed_ns: t.time_ns,
-                            })
-                        })
-                        .collect();
-                    let verdict = self.sentinel.observe_round(&samples);
-                    if verdict.trip_edge {
-                        // One-shot re-refinement actions on the rising
-                        // edge: quarantine this round's counter samples
-                        // for the drifting tasks, schedule a PMC
-                        // re-collection, restart their α refiners, and
-                        // discard every memoised quantification.
-                        for &t in &verdict.drifting_tasks {
-                            self.pending_recollect.insert(t);
-                            if let Some(ts) = self.state.get_mut(t) {
-                                for e in ts.estimator.objects.values_mut() {
-                                    if e.refiner.is_some() {
-                                        e.refiner = Some(AlphaRefiner::new());
-                                    }
-                                }
-                                ts.estimator.bump_version();
-                                self.sentinel.version_bumps += 1;
+        } else if let Some((_, preds)) = self.prediction_log.last().filter(|(r, _)| *r == round) {
+            let samples: Vec<TaskSample> = report
+                .tasks
+                .iter()
+                .filter_map(|t| {
+                    Some(TaskSample {
+                        task: t.task,
+                        predicted_ns: *preds.get(t.task)?,
+                        observed_ns: t.time_ns,
+                    })
+                })
+                .collect();
+            let verdict = self.sentinel.observe_round(&samples);
+            if verdict.trip_edge {
+                // One-shot re-refinement actions on the rising edge:
+                // quarantine this round's counter samples for the
+                // drifting tasks, schedule a PMC re-collection, restart
+                // their α refiners, and discard every memoised
+                // quantification.
+                for &t in &verdict.drifting_tasks {
+                    self.pending_recollect.insert(t);
+                    if let Some(ts) = self.state.get_mut(t) {
+                        for e in ts.estimator.objects.values_mut() {
+                            if e.refiner.is_some() {
+                                e.refiner = Some(AlphaRefiner::new());
                             }
                         }
-                    }
-                    if verdict.step_down {
-                        // Sustained drift: the base profiles can no longer
-                        // be trusted — step the ladder down to the
-                        // hot-page rung for the next rounds, exactly like
-                        // the straggler watchdog's escalation. The ladder
-                        // steps back up once the sentinel confirms enough
-                        // clean planned rounds.
-                        self.watchdog_fallback_rounds = WATCHDOG_FALLBACK_SPAN;
-                    }
-                    if verdict.trip_edge {
-                        verdict.drifting_tasks.iter().copied().collect()
-                    } else {
-                        BTreeSet::new()
+                        ts.estimator.bump_version();
+                        self.sentinel.version_bumps += 1;
                     }
                 }
             }
+            if verdict.step_down {
+                // Sustained drift: the base profiles can no longer be
+                // trusted — step the ladder down to the hot-page rung for
+                // the next rounds, exactly like the straggler watchdog's
+                // escalation. The ladder steps back up when the span
+                // expires and the sentinel re-assesses the next plan.
+                self.watchdog_fallback_rounds = WATCHDOG_FALLBACK_SPAN;
+            }
+            if verdict.trip_edge {
+                verdict.drifting_tasks.into_iter().collect()
+            } else {
+                BTreeSet::new()
+            }
+        } else {
+            // A fallback rung produced no prediction: the sentinel is not
+            // fed stale data and its streaks freeze.
+            BTreeSet::new()
         };
         // Online α refinement: read counter-sampled per-object access
         // counts for this round and fold them into each sharer's refiner.
@@ -1162,7 +1114,7 @@ impl PlacementPolicy for MerchandiserPolicy {
 
     fn save_state(&self) -> String {
         let mut out = String::new();
-        out.push_str("merchpolicy 3\n");
+        out.push_str("merchpolicy 4\n");
         out.put(format_args!("degraded {}\n", u8::from(self.degraded)));
         out.put(format_args!(
             "wd {} {}\n",
@@ -1223,7 +1175,7 @@ impl PlacementPolicy for MerchandiserPolicy {
         let mut r = Reader::named("policy blob", blob);
         let mut c = r.line("merchpolicy")?;
         let version: u32 = c.next("version")?;
-        if version != 3 {
+        if version != 4 {
             return Err(c.invalid(
                 "version",
                 format_args!("unsupported merchandiser state version {version}"),
@@ -1712,9 +1664,10 @@ mod tests {
 
     /// Acceptance: a seeded run with sustained PMC dropout plus a
     /// mid-run behaviour burst. The sentinel must trip on the drift,
-    /// quarantine and re-collect the affected profiles, step the ladder
-    /// down while the drift sustains, and step it back up after the
-    /// behaviour settles.
+    /// quarantine and re-collect the affected profiles, and step the
+    /// ladder down while the drift sustains; each step-down rides the
+    /// hot-page rung for `WATCHDOG_FALLBACK_SPAN` rounds (no prediction is
+    /// logged) and then steps back up to planning on its own.
     #[test]
     fn sentinel_steps_ladder_down_and_back_up_under_drift() {
         use merch_hm::FaultPlan;
@@ -1727,28 +1680,20 @@ mod tests {
                 .with_sample_dropout(0.0, 0.5),
         )
         .unwrap();
-        let mut policy = MerchandiserPolicy::new(linear_model(), pattern_map(), BTreeMap::new(), 3);
-        // Bands tuned to this seeded workload: the ×4 burst drives the
-        // per-task EWMA to ≈ 0.7, the settled post-burst error sits just
-        // under 0.3 while the reset α refiners re-converge.
-        policy.sentinel = DriftSentinel::new(crate::sentinel::SentinelConfig {
-            ewma_beta: 0.2,
-            band_hi: 0.5,
-            band_lo: 0.3,
-            sustain_rounds: 2,
-            clean_rounds: 2,
-        });
+        let policy = MerchandiserPolicy::new(linear_model(), pattern_map(), BTreeMap::new(), 3);
         let mut ex = Executor::new(sys, BurstTasks { rounds: 12 }, policy);
-        let run = ex.run();
+        let mut step_downs = Vec::new();
+        while let Some(round) = ex.step().unwrap().map(|r| r.round) {
+            if ex.policy.sentinel.ladder_steps_down > step_downs.len() as u64 {
+                step_downs.push(round);
+            }
+        }
+        let run = ex.report();
         assert_eq!(run.rounds.len(), 12);
         let s = &ex.policy.sentinel;
         assert!(
-            s.ladder_steps_down >= 1,
+            !step_downs.is_empty(),
             "sustained drift must step the ladder down: {s:?}"
-        );
-        assert!(
-            s.ladder_steps_up >= 1,
-            "settled behaviour must step the ladder back up: {s:?}"
         );
         // The trip edge quarantined that round's counter samples and
         // invalidated the drifting tasks' caches…
@@ -1756,11 +1701,19 @@ mod tests {
         assert!(s.version_bumps >= 1, "{s:?}");
         // …and the dropped PMC events were re-collected until healed.
         assert!(s.recollections >= 1, "{s:?}");
-        assert!(s.class_error("random").is_some());
-        // The step-down rounds show up as degraded hot-page rounds.
-        assert!(run.rounds.iter().any(|r| r.degraded));
-        // After the ladder stepped back up the final round plans cleanly.
-        assert!(!s.tripped(), "sentinel must have recovered: {s:?}");
+        let planned = |r: usize| ex.policy.prediction_log.iter().any(|(p, _)| *p == r);
+        let span = WATCHDOG_FALLBACK_SPAN as usize;
+        for &r in &step_downs {
+            assert!(planned(r), "round {r} stepped down from a plan");
+            // The span after a step-down rides the hot-page rung, degraded …
+            for f in (r + 1..=r + span).filter(|&f| f < run.rounds.len()) {
+                assert!(!planned(f) && run.rounds[f].degraded, "round {f}");
+            }
+            // … and planning resumes once the span expires.
+            if r + span + 1 < run.rounds.len() {
+                assert!(planned(r + span + 1), "round {} must re-plan", r + span + 1);
+            }
+        }
     }
 
     /// Decision pin for the drift sentinel under its default tuning: the
@@ -1799,6 +1752,33 @@ mod tests {
         let ck = Checkpoint::decode(&tripped_at.expect("the sentinel trips")).unwrap();
         let mut resumed = Executor::resume(ck, BurstTasks { rounds: 12 }, policy()).unwrap();
         assert_eq!(format!("{:?}", resumed.run()), run);
+    }
+
+    /// Only the current policy-blob version decodes: a `merchpolicy 3`
+    /// blob is rejected with a located error, and the current one still
+    /// restores to the same bytes.
+    #[test]
+    fn older_policy_blob_is_rejected() {
+        let mut ex = Executor::new(
+            HmSystem::new(small_config(), 3),
+            TwoTasks { rounds: 3 },
+            MerchandiserPolicy::new(linear_model(), pattern_map(), BTreeMap::new(), 3),
+        );
+        let _ = ex.run();
+        let blob = ex.policy.save_state();
+        let old = blob.replacen("merchpolicy 4\n", "merchpolicy 3\n", 1);
+        assert_ne!(old, blob);
+        let mut fresh = MerchandiserPolicy::new(linear_model(), pattern_map(), BTreeMap::new(), 3);
+        match fresh.restore_state(&old) {
+            Err(HmError::CheckpointCorrupt(msg)) => assert_eq!(
+                msg,
+                "policy blob line 1, `merchpolicy` field `version`: \
+                 unsupported merchandiser state version 3"
+            ),
+            other => panic!("expected a located CheckpointCorrupt, got {other:?}"),
+        }
+        fresh.restore_state(&blob).unwrap();
+        assert_eq!(fresh.save_state(), blob);
     }
 
     #[test]

@@ -67,8 +67,8 @@ pub use object::{DataObject, ObjectId, ObjectSpec};
 pub use page::{PageId, PageInfo, PageTable, RefTable, Run, PAGE_SIZE, SHARD_PAGES};
 pub use runtime::{Executor, PlacementPolicy, RoundReport, RunReport, TaskResult, WatchdogConfig};
 pub use service::{
-    BreakerConfig, BreakerState, PlacementService, ServiceConfig, ServiceReport, ShedReason,
-    SubmitOutcome, TenantId, TenantJob, TenantReport, TenantSpec, TenantStatus,
+    BreakerState, PlacementService, ServiceConfig, ServiceReport, ShedReason, SubmitOutcome,
+    TenantId, TenantJob, TenantReport, TenantSpec, TenantStatus,
 };
 pub use system::HmSystem;
 pub use telemetry::{BandwidthTimeline, Warning};

@@ -58,9 +58,10 @@
 //! cool-down the breaker goes Half-Open: the checkpoint is restored
 //! *in place* (proving the checkpoint round-trip bit-identical), the grant
 //! re-applied, and probe rounds run — clean probes re-close the breaker,
-//! one struck probe re-trips it, and `max_trips` trips quarantine the
-//! tenant for good. Survivors are never perturbed: their round streams
-//! stay bitwise identical to a no-fault run at any job count.
+//! one struck probe re-trips it, and [`breaker::MAX_TRIPS`] trips
+//! quarantine the tenant for good. Survivors are never perturbed: their
+//! round streams stay bitwise identical to a no-fault run at any job
+//! count.
 
 pub mod admission;
 pub mod breaker;
@@ -69,7 +70,7 @@ pub mod scheduler;
 pub mod tenant;
 
 pub use admission::{Admission, AdmissionController, SubmitOutcome};
-pub use breaker::{BreakerConfig, BreakerState};
+pub use breaker::BreakerState;
 pub use report::{jain_index, ServiceReport, TenantReport};
 pub use scheduler::DrrScheduler;
 pub use tenant::{ShedReason, Tenant, TenantId, TenantSpec, TenantStatus};
@@ -243,9 +244,9 @@ pub struct ServiceConfig {
     pub retry_cap_ns: u64,
     /// Seed for the deterministic retry-after jitter.
     pub seed: u64,
-    /// Per-tenant circuit-breaker tuning (defaults: 3 strikes / window 8,
-    /// stall detection off).
-    pub breaker: BreakerConfig,
+    /// A tenant round slower than this is a circuit-breaker *stall*
+    /// strike, ns. Infinite (the default) disables stall detection.
+    pub stall_threshold_ns: f64,
     /// When set, an Open tenant's trip checkpoint is also persisted to a
     /// per-tenant WAL file in this directory (`tenant-<id>.wal`), so a
     /// service crash while a breaker is Open can recover the suspended
@@ -264,14 +265,14 @@ impl ServiceConfig {
             quantum_ns: 1_000_000.0,
             retry_cap_ns: 10_000_000_000,
             seed: 0,
-            breaker: BreakerConfig::default(),
+            stall_threshold_ns: f64::INFINITY,
             wal_dir: None,
         }
     }
 
     /// Treat rounds slower than `ns` as stall strikes.
     pub fn with_stall_threshold_ns(mut self, ns: f64) -> Self {
-        self.breaker.stall_threshold_ns = ns;
+        self.stall_threshold_ns = ns;
         self
     }
 
@@ -329,7 +330,7 @@ enum ContainAction {
     /// and relaunches the runner; the serial loop just picks again).
     Relaunch,
     /// The breaker tripped: checkpoint the job, release the grant, and
-    /// either suspend (Open) or quarantine (`max_trips` reached).
+    /// either suspend (Open) or quarantine (`MAX_TRIPS` reached).
     Trip,
 }
 
@@ -599,7 +600,7 @@ impl PlacementService {
     /// the identical field updates in the identical order.
     fn consume_entry(&mut self, id: TenantId, entry: StepEntry) -> ContainAction {
         self.steps += 1;
-        let bcfg = self.config.breaker;
+        let stall_ns = self.config.stall_threshold_ns;
         match entry {
             StepEntry::Round {
                 round,
@@ -623,10 +624,10 @@ impl PlacementService {
                     return ContainAction::Proceed;
                 }
                 let t = &mut self.tenants[id.0 as usize];
-                if dt > bcfg.stall_threshold_ns && t.breaker.on_strike(&bcfg) {
+                if dt > stall_ns && t.breaker.on_strike() {
                     return ContainAction::Trip;
                 }
-                if dt <= bcfg.stall_threshold_ns {
+                if dt <= stall_ns {
                     t.breaker.on_success();
                 }
                 ContainAction::Proceed
@@ -649,7 +650,7 @@ impl PlacementService {
             // until its breaker trips.
             StepEntry::Panicked(msg) => {
                 let t = &mut self.tenants[id.0 as usize];
-                let tripped = t.breaker.on_strike(&bcfg);
+                let tripped = t.breaker.on_strike();
                 crate::telemetry::Warning::TenantPanicContained {
                     tenant: id.0,
                     strikes: t.breaker.strikes,
@@ -670,14 +671,13 @@ impl PlacementService {
     /// breaker frame embedded, release the grant back to the pool (the
     /// next priority-ordered admission pass redistributes it, exactly like
     /// a capacity renegotiation), and suspend the tenant Open — or
-    /// quarantine it outright once `max_trips` is reached.
+    /// quarantine it outright once [`breaker::MAX_TRIPS`] is reached.
     fn trip_tenant(&mut self, id: TenantId) {
-        let bcfg = self.config.breaker;
         let i = id.0 as usize;
-        let quarantine = self.tenants[i].breaker.trips >= bcfg.max_trips;
+        let quarantine = self.tenants[i].breaker.trips >= breaker::MAX_TRIPS;
         if !quarantine {
             let t = &mut self.tenants[i];
-            t.breaker.open(self.steps, &bcfg);
+            t.breaker.open(self.steps);
             // Snapshot *before* the grant release below, so the
             // checkpointed system still carries the old quota; the probe
             // re-applies its (possibly different) grant after restore.
@@ -757,7 +757,7 @@ impl PlacementService {
                     // The decoded frame *is* the authoritative breaker
                     // state — the checkpoint round-trip just proved itself.
                     t.breaker = frame;
-                    t.breaker.begin_probe(&self.config.breaker);
+                    t.breaker.begin_probe();
                     t.granted_quota = Some(grant);
                     t.job.set_dram_quota(Some(grant));
                     self.outstanding_grants += grant;
@@ -796,7 +796,7 @@ impl PlacementService {
         let handback: Vec<Mutex<Option<Box<dyn TenantJob>>>> =
             (0..n).map(|_| Mutex::new(None)).collect();
         let mut launched = vec![false; n];
-        let bcfg = self.config.breaker;
+        let stall_ns = self.config.stall_threshold_ns;
         merch_sched::ensure_workers(merch_sched::pool_jobs().saturating_sub(1));
         merch_sched::scope(TaskClass::Tenant, |scope| loop {
             self.admission
@@ -830,8 +830,8 @@ impl PlacementService {
                                 StepEntry::Round {
                                     round, done: false, ..
                                 } => {
-                                    if round.round_time_ns > bcfg.stall_threshold_ns {
-                                        mirror.on_strike(&bcfg)
+                                    if round.round_time_ns > stall_ns {
+                                        mirror.on_strike()
                                     } else {
                                         mirror.on_success();
                                         false
@@ -1268,14 +1268,14 @@ mod tests {
         use crate::fault::FaultPlan;
         // A stall fault is *not* disarmed by the probe restore (a hung
         // dependency stays hung): every probe re-strikes, every re-trip
-        // burns one of `max_trips`, and the tenant ends Quarantined while
+        // burns one of `MAX_TRIPS`, and the tenant ends Quarantined while
         // the co-tenant completes untouched.
         let cfg = ServiceConfig::new(64 * PAGE_SIZE)
             .with_seed(11)
             // Clean rounds sit near 4e5 ns; a stalled round (1024×
             // inflation) lands near 4e8 — well past this threshold.
             .with_stall_threshold_ns(1e8);
-        let mut svc = PlacementService::new(cfg.clone());
+        let mut svc = PlacementService::new(cfg);
         svc.submit(
             spec("hung", 16),
             chaos_job(2, 6, 9, FaultPlan::none().with_tenant_stall(1, 6)),
@@ -1288,7 +1288,7 @@ mod tests {
             "hung tenant must end quarantined, got {:?}",
             rep.tenants[0].status
         );
-        assert!(rep.tenants[0].breaker_trips >= cfg.breaker.max_trips);
+        assert!(rep.tenants[0].breaker_trips >= breaker::MAX_TRIPS);
         assert!(rep.tenants[0].fault.stalled_rounds > 0);
         assert_eq!(rep.tenants[1].status, TenantStatus::Completed);
         assert_eq!(rep.quarantined, 1);

@@ -378,30 +378,31 @@ fn boundary_hashes<P: PlacementPolicy + Sync>(
 /// under Merchandiser and under a static policy, hashed at every round
 /// boundary. The hashes were taken from the decoder before it moved onto
 /// the shared field cursor, so a codec change that moves a byte fails
-/// here.
+/// here; the Merchandiser ones were re-taken once for policy blob
+/// `merchpolicy 4`.
 #[test]
 fn checkpoint_bytes_are_pinned() {
     const MERCHANDISER: [u64; 9] = [
-        0xe6db_49cb_8c98_dd06,
-        0x07f3_33f1_4a8c_8144,
-        0x0487_ee47_fa6d_583c,
-        0x7ce0_943c_cecc_f0e6,
-        0x2ed2_2773_bb83_0b28,
-        0xff9e_124d_5be2_bdb4,
-        0x42de_0734_7b73_61b3,
-        0x88af_d7e0_c7d6_f0a5,
-        0xb18c_4c10_7000_b494,
+        0x7231_594f_b3ba_9a0b,
+        0x3b44_b90a_a062_1e66,
+        0x6da8_f007_3554_9c8d,
+        0x6a1f_9a06_73ef_dc1a,
+        0x3c01_4bb2_29c5_7674,
+        0x5385_c0af_9152_a4da,
+        0xc9f4_9df3_8244_9755,
+        0xbb07_c77a_ba6a_778f,
+        0xf343_53b1_56c3_7602,
     ];
     const POLICY_BLOB: [u64; 9] = [
-        0x9787_899c_990b_e4be,
-        0x0195_2cac_d56f_90b6,
-        0x61cd_ad3d_382a_76da,
-        0x44e1_a570_074d_8f7e,
-        0xd7b7_7631_04a9_dcbe,
-        0xcf9a_4d36_daed_2e47,
-        0xf2e7_7eb8_9cf2_4a2b,
-        0x7155_e523_9402_82da,
-        0xf2a2_0153_c3df_fb1d,
+        0x8354_2960_e856_efab,
+        0x1bd1_5767_1e87_8b2b,
+        0xa41e_fd1e_2767_90fc,
+        0x4bb4_d983_b6da_9548,
+        0xe4c7_fddb_2463_5058,
+        0xb82b_7a1d_186a_a017,
+        0x286d_9e97_69e3_b583,
+        0xa274_5b89_4536_1d10,
+        0x0134_b67c_2728_e400,
     ];
     const STATIC: [u64; 9] = [
         0xd6c8_504e_8ccd_ff44,

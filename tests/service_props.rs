@@ -14,8 +14,8 @@ use merchandiser_suite::hm::runtime::{Executor, StaticPolicy};
 use merchandiser_suite::hm::service::TenantJob;
 use merchandiser_suite::hm::workload::testutil::SkewedWorkload;
 use merchandiser_suite::hm::{
-    BreakerConfig, BreakerFrame, CrashPoint, FaultKind, FaultPlan, HmConfig, HmSystem,
-    PlacementService, ServiceConfig, TenantId, TenantSpec, TenantStatus, Tier,
+    BreakerFrame, CrashPoint, FaultKind, FaultPlan, HmConfig, HmSystem, PlacementService,
+    ServiceConfig, TenantId, TenantSpec, TenantStatus, Tier,
 };
 
 /// One drawn tenant: (quota_pages, floor_pct, weight, priority, tasks,
@@ -325,14 +325,13 @@ proptest! {
         stepped in 0usize..3,
         seed in 0u64..1_000,
     ) {
-        let cfg = BreakerConfig::default();
         let mut frame = BreakerFrame::default();
         for op in ops {
             match op {
                 0 => frame.on_success(),
-                1 => { frame.on_strike(&cfg); }
-                2 => frame.open(now_step, &cfg),
-                _ => frame.begin_probe(&cfg),
+                1 => { frame.on_strike(); }
+                2 => frame.open(now_step),
+                _ => frame.begin_probe(),
             }
         }
         let rounds = 4;
